@@ -142,6 +142,18 @@ def intracavity_photons(
     return gamma_e * kappa_e / (4.0 * g_e**2)
 
 
+# The seven factors of the readout-efficiency product, in product order.
+READOUT_FACTORS = (
+    "xi_o",
+    "eps_cl",
+    "ratio_det",
+    "kappa_e_over_ext",
+    "kappa_o_ext_over",
+    "gamma_o_over_e",
+    "gain_o_over_e",
+)
+
+
 @dataclass(frozen=True)
 class ReadoutCalInput:
     """Factors entering the microwave readout-efficiency product.
@@ -161,15 +173,7 @@ class ReadoutCalInput:
     stiff_mode_hz: float = 1.275e6
 
     def __post_init__(self):
-        for name in (
-            "xi_o",
-            "eps_cl",
-            "ratio_det",
-            "kappa_e_over_ext",
-            "kappa_o_ext_over",
-            "gamma_o_over_e",
-            "gain_o_over_e",
-        ):
+        for name in READOUT_FACTORS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -181,15 +185,7 @@ class ReadoutCalInput:
 
 def xi_e(cal: ReadoutCalInput) -> float:
     """Microwave readout efficiency: the product of all seven factors."""
-    value = (
-        cal.xi_o
-        * cal.eps_cl
-        * cal.ratio_det
-        * cal.kappa_e_over_ext
-        * cal.kappa_o_ext_over
-        * cal.gamma_o_over_e
-        * cal.gain_o_over_e
-    )
+    value = math.prod(getattr(cal, name) for name in READOUT_FACTORS)
     if not math.isfinite(value):
         raise ValueError("readout efficiency product is not finite")
     return value

@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Subcommands: noise, sweep, optimize, capacity, contours, filter-analysis,
-fit-occupancy, xi-e, compare, validate.  Rates on the command line and in
-all emitted CSV are ordinary frequencies in Hz; floats are printed as the
-shortest decimal that round-trips, so identical inputs give byte-identical
-output.
+fit-spectrum, fit-occupancy, xi-e, compare, validate.  Rates on the
+command line and in all emitted CSV are ordinary frequencies in Hz;
+floats are printed as the shortest decimal that round-trips, so
+identical inputs give byte-identical output.
+
+A handler returns what it computed (CSV text, a ``(header, rows)`` table
+or a list of lines), which is written in one piece once it has returned,
+so a failure leaves stdout empty.  validate and filter-analysis write
+through :func:`_write` themselves and return the exit status.
 
 Exit status: 0 on success, 1 on validation or evaluation failure,
 2 on usage errors.
@@ -13,8 +18,8 @@ Exit status: 0 on success, 1 on validation or evaluation failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
+import math
 import sys
 
 import numpy as np
@@ -22,13 +27,14 @@ import numpy as np
 from . import calibration, filters, noise, optimize, registry
 from .capacity import (
     ChannelSpec,
+    _small_eta_slope,
     cap_integrated_closed,
     cap_integrated_quadrature,
     cap_small_eta,
+    cap_ub_grid,
     cap_ub_point,
-    capacity_contours,
 )
-from .config import ConfigError, load_config
+from .config import load_config
 from .core import (
     OperatingPoint,
     apparent_efficiency,
@@ -37,18 +43,22 @@ from .core import (
     rate_to_hz,
     validate_device,
 )
+from .registry import format_float
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _floats(**values) -> list:
+    """``key=value`` lines, every value written as a float."""
+    return [f"{key}={format_float(value)}" for key, value in values.items()]
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(output, path=None) -> None:
+    """Write a handler's output to ``path``, or to stdout without one."""
+    if isinstance(output, tuple):
+        output = registry.csv_text(*output)
+    elif isinstance(output, list):
+        output = "\n".join(output) + "\n"
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(output)
 
 
 def _parse_pair(text: str, flag: str):
@@ -65,6 +75,11 @@ def _parse_triplet(text: str, flag: str):
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+def _rate_range(text: str, flag: str):
+    lo, hi = _parse_pair(text, flag)
+    return rate_from_hz(lo), rate_from_hz(hi)
+
+
 def _model_for(direction: str, style: str) -> str:
     table = {
         ("up", "lossy"): noise.MODEL_LOSSY_UP,
@@ -73,234 +88,159 @@ def _model_for(direction: str, style: str) -> str:
         ("down", "ideal"): noise.MODEL_IDEAL_DOWN,
         ("down", "combined"): noise.MODEL_IDEAL_DOWN_COMBINED,
     }
-    try:
-        return table[(direction, style)]
-    except KeyError:
+    if (direction, style) not in table:
         raise ValueError(f"model style {style!r} is not defined for {direction}conversion")
+    return table[direction, style]
 
 
 def _resolve_op(args, cfg) -> OperatingPoint:
-    if args.op is not None:
-        try:
-            op = cfg.operating_points[args.op]
-        except KeyError:
-            raise ValueError(
-                f"config has no operating point {args.op!r}; "
-                f"available: {', '.join(sorted(cfg.operating_points))}"
-            )
-    else:
-        op = None
-    gamma_e = rate_from_hz(args.gamma_e_hz) if args.gamma_e_hz is not None else None
-    gamma_o = rate_from_hz(args.gamma_o_hz) if args.gamma_o_hz is not None else None
-    if op is None and (gamma_e is None or gamma_o is None):
+    op = cfg.operating_points.get(args.op)
+    if args.op is not None and op is None:
+        raise ValueError(
+            f"config has no operating point {args.op!r}; "
+            f"available: {', '.join(sorted(cfg.operating_points))}"
+        )
+    if op is None and (args.gamma_e_hz is None or args.gamma_o_hz is None):
         raise ValueError("give --op NAME or both --gamma-e-hz and --gamma-o-hz")
     return OperatingPoint(
-        gamma_e=gamma_e if gamma_e is not None else op.gamma_e,
-        gamma_o=gamma_o if gamma_o is not None else op.gamma_o,
+        gamma_e=op.gamma_e if args.gamma_e_hz is None else rate_from_hz(args.gamma_e_hz),
+        gamma_o=op.gamma_o if args.gamma_o_hz is None else rate_from_hz(args.gamma_o_hz),
         duty=args.duty if args.duty is not None else (op.duty if op else 1.0),
     )
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    report = validate_device(cfg.device)
-    if report:
-        for item in report:
-            print(f"violation: {item}")
-        return 1
-    print("ok")
-    return 0
+    report = validate_device(load_config(args.config).device)
+    _write([f"violation: {item}" for item in report] or ["ok"])
+    return 1 if report else 0
 
 
-def _cmd_noise(args) -> int:
+def _cmd_noise(args):
     cfg = load_config(args.config)
     op = _resolve_op(args, cfg)
     model = _model_for(args.direction, args.model)
-    budget = noise.evaluate(model, cfg.device, op, cfg.environment)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
+    b = noise.evaluate(model, cfg.device, op, cfg.environment)
+    return (
         ["direction", "model", "gamma_e_hz", "gamma_o_hz",
-         "n_add_motional", "n_add_em", "n_add_corr", "n_add_total"]
+         "n_add_motional", "n_add_em", "n_add_corr", "n_add_total"],
+        [[b.direction, model, rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o),
+          b.motional, b.electromagnetic, b.correlation, b.total]],
     )
-    writer.writerow(
-        [budget.direction, model, _fmt(rate_to_hz(op.gamma_e)), _fmt(rate_to_hz(op.gamma_o)),
-         _fmt(budget.motional), _fmt(budget.electromagnetic),
-         _fmt(budget.correlation), _fmt(budget.total)]
-    )
-    _emit(out.getvalue(), args.out)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     cfg = load_config(args.config)
     model = _model_for(args.direction, args.model)
-    lo, hi = _parse_pair(args.range_hz, "--range-hz")
-    swept = (rate_from_hz(lo), rate_from_hz(hi))
+    gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
     if args.variable == "gamma-e":
         if args.gamma_o_hz is None:
             raise ValueError("sweeping gamma_e needs --gamma-o-hz")
-        spec = optimize.SweepSpec(
-            variable=optimize.SWEEP_GAMMA_E,
-            gamma_e=swept,
-            gamma_o=rate_from_hz(args.gamma_o_hz),
-            n_samples=args.n,
-            direction=args.direction,
-            model=model,
-            duty=args.duty or 1.0,
-        )
+        gamma_o = rate_from_hz(args.gamma_o_hz)
     elif args.variable == "gamma-o":
         if args.gamma_e_hz is None:
             raise ValueError("sweeping gamma_o needs --gamma-e-hz")
-        spec = optimize.SweepSpec(
-            variable=optimize.SWEEP_GAMMA_O,
-            gamma_e=rate_from_hz(args.gamma_e_hz),
-            gamma_o=swept,
-            n_samples=args.n,
-            direction=args.direction,
-            model=model,
-            duty=args.duty or 1.0,
-        )
+        gamma_e = rate_from_hz(args.gamma_e_hz)
     else:
         if args.range2_hz is None:
             raise ValueError("sweeping both needs --range2-hz for gamma_o")
-        lo2, hi2 = _parse_pair(args.range2_hz, "--range2-hz")
-        spec = optimize.SweepSpec(
-            variable=optimize.SWEEP_BOTH,
-            gamma_e=swept,
-            gamma_o=(rate_from_hz(lo2), rate_from_hz(hi2)),
-            n_samples=args.n,
-            direction=args.direction,
-            model=model,
-            duty=args.duty or 1.0,
-        )
-    points = optimize.sweep(spec, cfg.device, cfg.environment)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["gamma_e_hz", "gamma_o_hz", "throughput_hz", "n_add_total",
-         "n_add_motional", "n_add_em", "n_add_corr"]
+        gamma_o = _rate_range(args.range2_hz, "--range2-hz")
+    spec = optimize.SweepSpec(
+        variable=args.variable.replace("-", "_"), gamma_e=gamma_e, gamma_o=gamma_o,
+        n_samples=args.n, model=model, duty=args.duty,
     )
-    for p in points:
-        if p.budget is None:
-            writer.writerow(
-                [_fmt(rate_to_hz(p.op.gamma_e)), _fmt(rate_to_hz(p.op.gamma_o)),
-                 _fmt(p.throughput_hz), "nan", "nan", "nan", "nan"]
-            )
-            continue
-        writer.writerow(
-            [_fmt(rate_to_hz(p.op.gamma_e)), _fmt(rate_to_hz(p.op.gamma_o)),
-             _fmt(p.throughput_hz), _fmt(p.n_add_total), _fmt(p.budget.motional),
-             _fmt(p.budget.electromagnetic), _fmt(p.budget.correlation)]
-        )
-    _emit(out.getvalue(), args.out)
-    return 0
+    # a point the model could not evaluate has no budget: its noise is nan
+    rows = (
+        (rate_to_hz(p.op.gamma_e), rate_to_hz(p.op.gamma_o), p.throughput_hz, p.n_add_total,
+         *((p.budget.motional, p.budget.electromagnetic, p.budget.correlation)
+           if p.budget else (math.nan,) * 3))
+        for p in optimize.sweep(spec, cfg.device, cfg.environment)
+    )
+    header = ["gamma_e_hz", "gamma_o_hz", "throughput_hz", "n_add_total",
+              "n_add_motional", "n_add_em", "n_add_corr"]
+    return header, rows
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args):
     cfg = load_config(args.config)
-    lo, hi = _parse_pair(args.bracket_hz, "--bracket-hz")
-    bracket = (rate_from_hz(lo), rate_from_hz(hi))
+    bracket = _rate_range(args.bracket_hz, "--bracket-hz")
     if args.direction == "up":
         if args.gamma_o_hz is None:
             raise ValueError("upconversion optimization needs --gamma-o-hz")
         model = _model_for("up", args.model)
         result = optimize.optimize_up(
-            cfg.device, cfg.environment,
-            gamma_o_fixed=rate_from_hz(args.gamma_o_hz),
-            bracket=bracket, model=model, duty=args.duty or 1.0,
+            cfg.device, cfg.environment, gamma_o_fixed=rate_from_hz(args.gamma_o_hz),
+            bracket=bracket, model=model, duty=args.duty,
         )
     else:
         model = _model_for("down", args.model)
-        rlo, rhi = _parse_pair(args.ratio_bracket, "--ratio-bracket")
         result = optimize.optimize_down(
-            cfg.device, cfg.environment,
-            gamma_o_bracket=bracket, ratio_bracket=(rlo, rhi),
-            model=model, duty=args.duty or 1.0,
+            cfg.device, cfg.environment, gamma_o_bracket=bracket,
+            ratio_bracket=_parse_pair(args.ratio_bracket, "--ratio-bracket"),
+            model=model, duty=args.duty,
         )
-    lines = [
+    b = result.budget
+    return [
         f"direction={args.direction}",
         f"model={model}",
-        f"gamma_e_hz={_fmt(rate_to_hz(result.op.gamma_e))}",
-        f"gamma_o_hz={_fmt(rate_to_hz(result.op.gamma_o))}",
-        f"n_add_total={_fmt(result.budget.total)}",
-        f"n_add_motional={_fmt(result.budget.motional)}",
-        f"n_add_em={_fmt(result.budget.electromagnetic)}",
-        f"n_add_corr={_fmt(result.budget.correlation)}",
+        *_floats(gamma_e_hz=rate_to_hz(result.op.gamma_e),
+                 gamma_o_hz=rate_to_hz(result.op.gamma_o),
+                 n_add_total=b.total, n_add_motional=b.motional,
+                 n_add_em=b.electromagnetic, n_add_corr=b.correlation),
         f"at_boundary={result.at_boundary}",
         f"flat_objective={result.flat_objective}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_capacity(args) -> int:
-    out = io.StringIO()
-    writer = csv.writer(out)
+def _cmd_capacity(args):
     if args.grid_eta or args.grid_throughput_hz:
         if args.grid_n_add is None:
             raise ValueError("grid mode needs --grid-n-add LOW:HIGH:N")
-        n_lo, n_hi, n_n = _parse_triplet(args.grid_n_add, "--grid-n-add")
-        n_values = np.linspace(n_lo, n_hi, n_n)
+        n_values = np.linspace(*_parse_triplet(args.grid_n_add, "--grid-n-add"))
+        # one array operation per grid row, each row formatted as it is
+        # written, so no whole-grid array is ever held
         if args.grid_eta:
-            e_lo, e_hi, e_n = _parse_triplet(args.grid_eta, "--grid-eta")
-            writer.writerow(["eta", "n_add", "c_ub"])
-            for eta in np.linspace(e_lo, e_hi, e_n):
-                for n_add in n_values:
-                    writer.writerow([_fmt(eta), _fmt(n_add), _fmt(cap_ub_point(eta, n_add))])
-        else:
-            t_lo, t_hi, t_n = _parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz")
-            writer.writerow(["throughput_hz", "n_add", "cap_qubits_per_s", "form"])
-            for theta in np.geomspace(t_lo, t_hi, t_n):
-                for n_add in n_values:
-                    writer.writerow(
-                        [_fmt(theta), _fmt(n_add), _fmt(cap_small_eta(n_add, theta)), "small-eta"]
-                    )
-        _emit(out.getvalue(), args.out)
-        return 0
+            etas = np.linspace(*_parse_triplet(args.grid_eta, "--grid-eta"))
+            return ["eta", "n_add", "c_ub"], (
+                (eta, n_add, c)
+                for eta in etas
+                for n_add, c in zip(n_values, cap_ub_grid(eta, n_values))
+            )
+        thetas = np.geomspace(*_parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz"))
+        # the scalar slope of cap_small_eta: np.log and math.log differ in
+        # the last ulp on some arguments
+        slopes = np.array([_small_eta_slope(n_add) for n_add in n_values])
+        return ["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
+            (theta, n_add, cap, "small-eta")
+            for theta in thetas
+            for n_add, cap in zip(n_values, (math.pi * theta) * slopes)
+        )
 
     if args.eta is None or args.n_add is None:
         raise ValueError("point mode needs --eta and --n-add")
     point = cap_ub_point(args.eta, args.n_add)
     if args.bandwidth_hz is None:
-        writer.writerow(["eta", "n_add", "c_ub"])
-        writer.writerow([_fmt(args.eta), _fmt(args.n_add), _fmt(point)])
-    else:
-        spec = ChannelSpec(
-            eta=args.eta, n_add=args.n_add,
-            bandwidth_hz=args.bandwidth_hz, duty=args.duty or 1.0,
-        )
-        if args.form == "closed":
-            integrated = cap_integrated_closed(spec)
-        elif args.form == "quadrature":
-            integrated = cap_integrated_quadrature(spec)
-        else:
-            integrated = cap_small_eta(spec.n_add, spec.throughput_hz)
-        writer.writerow(
-            ["eta", "n_add", "bandwidth_hz", "duty", "throughput_hz",
-             "c_ub", "cap_qubits_per_s", "form"]
-        )
-        writer.writerow(
-            [_fmt(spec.eta), _fmt(spec.n_add), _fmt(spec.bandwidth_hz), _fmt(spec.duty),
-             _fmt(spec.throughput_hz), _fmt(point), _fmt(integrated), args.form]
-        )
-    _emit(out.getvalue(), args.out)
-    return 0
+        return ["eta", "n_add", "c_ub"], [[args.eta, args.n_add, point]]
+    spec = ChannelSpec(args.eta, args.n_add, args.bandwidth_hz, args.duty)
+    integrated = {
+        "closed": cap_integrated_closed,
+        "quadrature": cap_integrated_quadrature,
+        "small-eta": lambda s: cap_small_eta(s.n_add, s.throughput_hz),
+    }[args.form](spec)
+    return (
+        ["eta", "n_add", "bandwidth_hz", "duty", "throughput_hz",
+         "c_ub", "cap_qubits_per_s", "form"],
+        [[spec.eta, spec.n_add, spec.bandwidth_hz, spec.duty,
+          spec.throughput_hz, point, integrated, args.form]],
+    )
 
 
-def _cmd_contours(args) -> int:
-    levels = [float(x) for x in args.levels.split(",") if x]
-    t_range = _parse_pair(args.throughput_range_hz, "--throughput-range-hz")
-    n_range = _parse_pair(args.n_add_range, "--n-add-range")
-    lines = capacity_contours(levels, t_range, n_range, args.n)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(registry.CONTOUR_HEADER)
-    for line in lines:
-        for theta, n_add in zip(line.throughput_hz, line.n_add):
-            writer.writerow([_fmt(line.level), _fmt(theta), _fmt(n_add)])
-    _emit(out.getvalue(), args.out)
-    return 0
+def _cmd_contours(args):
+    return registry.contour_csv(
+        [float(x) for x in args.levels.split(",") if x],
+        _parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
+        _parse_pair(args.n_add_range, "--n-add-range"),
+        args.n,
+    )
 
 
 def _cmd_filter_analysis(args) -> int:
@@ -309,109 +249,74 @@ def _cmd_filter_analysis(args) -> int:
     else:
         if args.linewidth_hz is None:
             raise ValueError("give --linewidth-hz or --preset paper")
-        notches = []
-        for notch in args.notch or []:
-            notches.append(_parse_pair(notch, "--notch"))
         spec = filters.FilterSpec(
             linewidth_hz=args.linewidth_hz,
             center_hz=args.center_hz,
-            notches=tuple(notches),
+            notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch or []),
         )
     t_rep = args.t_rep_s if args.t_rep_s is not None else args.t_rep_mult / spec.gamma_t
-    report = filters.analyze_filter(
-        spec, t_rep_s=t_rep, span_hz=args.span_hz, n_points=args.n_points
-    )
-    text = [
-        f"linewidth_hz={_fmt(spec.linewidth_hz)}",
-        f"t_rep_s={_fmt(report.t_rep_s)}",
-        f"notches={';'.join(f'{_fmt(lo)}:{_fmt(hi)}' for lo, hi in spec.notches)}",
-        f"eta_notch={_fmt(report.eta_notch)}",
-        f"eta_temporal={_fmt(report.eta_temporal)}",
-        f"eta_total={_fmt(report.eta_total)}",
-        f"tail_noise_photons={_fmt(report.tail_noise_photons)}",
-        f"tail_first_window_photons={_fmt(report.tail_first_window_photons)}",
-        f"pre_window_energy={_fmt(report.pre_window_energy)}",
+    report = filters.analyze_filter(spec, t_rep, span_hz=args.span_hz, n_points=args.n_points)
+    summary = (report.eta_notch, report.eta_temporal, report.eta_total,
+               report.tail_noise_photons, report.t_rep_s)
+    # the report goes out before the trace, so an unwritable --trace path still leaves it
+    _write([
+        *_floats(linewidth_hz=spec.linewidth_hz, t_rep_s=report.t_rep_s),
+        "notches=" + ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in spec.notches),
+        *_floats(eta_notch=report.eta_notch, eta_temporal=report.eta_temporal,
+                 eta_total=report.eta_total, tail_noise_photons=report.tail_noise_photons,
+                 tail_first_window_photons=report.tail_first_window_photons,
+                 pre_window_energy=report.pre_window_energy),
         "",
         "eta_notch,eta_temporal,eta_total,tail_noise_photons,t_rep_s",
-        ",".join(
-            _fmt(v)
-            for v in (report.eta_notch, report.eta_temporal, report.eta_total,
-                      report.tail_noise_photons, report.t_rep_s)
-        ),
-    ]
-    _emit("\n".join(text) + "\n", args.out)
+        ",".join(map(format_float, summary)),
+    ], args.out)
     if args.trace:
-        response = filters.impulse_response(
-            spec, span_hz=args.span_hz, n_points=args.n_points
-        )
+        response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
         with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "energy_density"])
-            for t, d in zip(response.times_s, response.energy_density):
-                writer.writerow([_fmt(t), _fmt(d)])
+            rows = zip(response.times_s, response.energy_density)
+            registry.write_csv(fh, ["t_s", "energy_density"], rows)
     return 0
 
 
-def _cmd_fit_spectrum(args) -> int:
+def _cmd_fit_spectrum(args):
     from . import spectra
 
     spectrum = spectra.read_spectrum_csv(args.spectrum)
-    exclude = spectra.ExclusionBands(
-        [_parse_pair(band, "--exclude") for band in (args.exclude or [])]
-    )
+    exclude = spectra.ExclusionBands([_parse_pair(b, "--exclude") for b in args.exclude or []])
     fit = spectra.fit_lorentzian(spectrum, exclude)
     lines = [
-        f"center_hz={_fmt(fit.center_hz)}",
-        f"fwhm_hz={_fmt(fit.fwhm_hz)}",
-        f"peak_height={_fmt(fit.peak_height)}",
-        f"floor={_fmt(fit.floor)}",
-        f"residual_norm={_fmt(fit.residual_norm)}",
+        *_floats(center_hz=fit.center_hz, fwhm_hz=fit.fwhm_hz, peak_height=fit.peak_height,
+                 floor=fit.floor, residual_norm=fit.residual_norm),
         f"converged={fit.converged}",
         f"n_iterations={fit.n_iterations}",
     ]
     if args.efficiency:
-        efficiency = spectra.read_spectrum_csv(
-            args.efficiency, kind=spectra.KIND_EFFICIENCY
-        )
+        efficiency = spectra.read_spectrum_csv(args.efficiency, kind=spectra.KIND_EFFICIENCY)
         averaged = spectra.averaged_added_noise(spectrum, efficiency, exclude)
-        lines.append(f"averaged_value={_fmt(averaged)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        lines += _floats(averaged_value=averaged)
+    return lines
 
 
-def _cmd_fit_occupancy(args) -> int:
+def _cmd_fit_occupancy(args):
     records = calibration.load_occupancy_records(args.records)
     if args.method != "all":
         records = [r for r in records if r.method == args.method]
     fit = calibration.fit_occupancy(records, unweighted=args.unweighted)
-    lines = [
+    return [
         "# occupancy slope quoted per Hz of gamma_e (Hz convention)",
         f"n_records={len(records)}",
         f"method={args.method}",
-        f"a_e_per_hz={_fmt(fit.a_e_per_hz)}",
-        f"sigma_a_e_per_hz={_fmt(fit.sigma_a_e * 2.0 * np.pi)}",
-        f"b_e={_fmt(fit.b_e)}",
-        f"sigma_b_e={_fmt(fit.sigma_b_e)}",
+        *_floats(a_e_per_hz=fit.a_e_per_hz, sigma_a_e_per_hz=fit.sigma_a_e * 2.0 * np.pi,
+                 b_e=fit.b_e, sigma_b_e=fit.sigma_b_e),
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_xi_e(args) -> int:
-    cal = calibration.ReadoutCalInput(
-        xi_o=args.xi_o,
-        eps_cl=args.eps_cl,
-        ratio_det=args.ratio_det,
-        kappa_e_over_ext=args.kappa_e_over_ext,
-        kappa_o_ext_over=args.kappa_o_ext_over,
-        gamma_o_over_e=args.gamma_o_over_e,
-        gain_o_over_e=args.gain_o_over_e,
-    )
-    _emit(f"xi_e={_fmt(calibration.xi_e(cal))}\n", args.out)
-    return 0
+def _cmd_xi_e(args):
+    factors = {name: getattr(args, name) for name in calibration.READOUT_FACTORS}
+    return _floats(xi_e=calibration.xi_e(calibration.ReadoutCalInput(**factors)))
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     path = None if args.registry == "bundled" else args.registry
     records = registry.load_registry(path)
     if args.include_external:
@@ -422,29 +327,19 @@ def _cmd_compare(args) -> int:
         model = _model_for(args.direction, "lossy")
         for name, op in sorted(cfg.operating_points.items()):
             budget = noise.evaluate(model, cfg.device, op, cfg.environment)
-            eta = min(apparent_efficiency(cfg.device, op), 1.0)
-            live.append(
-                registry.DeviceRecord(
-                    label=f"config:{name}",
-                    direction=args.direction,
-                    n_add=max(budget.total, 0.0),
-                    eta=eta,
-                    bandwidth_hz=bandwidth_hz(cfg.device, op),
-                    duty=op.duty,
-                    source="live",
-                    notes="computed from config",
-                )
-            )
+            live.append(registry.DeviceRecord(
+                label=f"config:{name}", direction=args.direction, n_add=max(budget.total, 0.0),
+                eta=min(apparent_efficiency(cfg.device, op), 1.0),
+                bandwidth_hz=bandwidth_hz(cfg.device, op), duty=op.duty,
+                source="live", notes="computed from config",
+            ))
     levels = [float(x) for x in args.levels.split(",")] if args.levels else []
-    t_range = _parse_pair(args.throughput_range_hz, "--throughput-range-hz")
     written = registry.emit_comparison(
         records, levels, args.out_dir,
         direction=args.direction, live_points=live,
-        throughput_range_hz=t_range,
+        throughput_range_hz=_parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
     )
-    for name in sorted(written):
-        print(f"{name}: {written[name]}")
-    return 0
+    return [f"{name}: {written[name]}" for name in sorted(written)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,124 +349,76 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a config against the device invariants")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_validate)
+    def command(name, fn, help, *arguments):
+        """Add subcommand ``name``; each argument is a (flag, options) pair."""
+        p = sub.add_parser(name, help=help)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("noise", help="evaluate one added-noise budget")
-    p.add_argument("--config", required=True)
-    p.add_argument("--direction", choices=["up", "down"], required=True)
-    p.add_argument("--model", choices=["ideal", "lossy", "combined"], default="lossy")
-    p.add_argument("--op", help="operating point name from the config")
-    p.add_argument("--gamma-e-hz", type=float)
-    p.add_argument("--gamma-o-hz", type=float)
-    p.add_argument("--duty", type=float)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_noise)
+    number = {"type": float}
+    config = ("--config", {"required": True})
+    direction = ("--direction", {"choices": ["up", "down"], "required": True})
+    model = ("--model", {"choices": ["ideal", "lossy", "combined"], "default": "lossy"})
+    duty = ("--duty", {"type": float, "default": 1.0})
+    out = ("--out", {})
 
-    p = sub.add_parser("sweep", help="sweep pump rates and tabulate noise vs throughput")
-    p.add_argument("--config", required=True)
-    p.add_argument("--direction", choices=["up", "down"], required=True)
-    p.add_argument("--variable", choices=["gamma-e", "gamma-o", "both"], default="gamma-e")
-    p.add_argument("--range-hz", required=True, help="LOW:HIGH for the swept rate")
-    p.add_argument("--range2-hz", help="LOW:HIGH for gamma_o when sweeping both")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--gamma-e-hz", type=float)
-    p.add_argument("--gamma-o-hz", type=float)
-    p.add_argument("--model", choices=["ideal", "lossy", "combined"], default="lossy")
-    p.add_argument("--duty", type=float)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("optimize", help="find the noise-optimal operating point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--direction", choices=["up", "down"], required=True)
-    p.add_argument("--gamma-o-hz", type=float)
-    p.add_argument("--bracket-hz", default="10:1e7")
-    p.add_argument("--ratio-bracket", default="1e-3:1e3")
-    p.add_argument("--model", choices=["ideal", "lossy", "combined"], default="lossy")
-    p.add_argument("--duty", type=float)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_optimize)
-
-    p = sub.add_parser("capacity", help="capacity bounds: point, integrated, or grids")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--n-add", type=float)
-    p.add_argument("--bandwidth-hz", type=float)
-    p.add_argument("--duty", type=float)
-    p.add_argument("--form", choices=["closed", "small-eta", "quadrature"], default="closed")
-    p.add_argument("--grid-eta", help="LOW:HIGH:N (linear)")
-    p.add_argument("--grid-n-add", help="LOW:HIGH:N (linear)")
-    p.add_argument("--grid-throughput-hz", help="LOW:HIGH:N (log spaced)")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_capacity)
-
-    p = sub.add_parser("contours", help="iso-capacity contour polylines")
-    p.add_argument("--levels", required=True, help="comma-separated qubits/s levels")
-    p.add_argument("--throughput-range-hz", default="0.01:100000")
-    p.add_argument("--n-add-range", default="0.001:0.999")
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_contours)
-
-    p = sub.add_parser("filter-analysis", help="notched-filter transmission and ringing")
-    p.add_argument("--preset", choices=["paper"])
-    p.add_argument("--linewidth-hz", type=float)
-    p.add_argument("--center-hz", type=float, default=0.0)
-    p.add_argument("--notch", action="append", help="LOW:HIGH in Hz, repeatable")
-    p.add_argument("--t-rep-mult", type=float, default=3.0,
-                   help="repetition time in units of 1/Gamma_T")
-    p.add_argument("--t-rep-s", type=float)
-    p.add_argument("--span-hz", type=float)
-    p.add_argument("--n-points", type=int, default=2**20)
-    p.add_argument("--trace", help="write the time-domain trace CSV here")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_filter_analysis)
-
-    p = sub.add_parser(
-        "fit-spectrum",
-        help="fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands",
-    )
-    p.add_argument("--spectrum", required=True, help="CSV: freq_hz,value")
-    p.add_argument(
-        "--exclude", action="append", help="LOW:HIGH band in Hz, repeatable"
-    )
-    p.add_argument(
-        "--efficiency",
-        help="efficiency spectrum CSV; adds the efficiency-weighted average "
-        "of the fitted spectrum over unexcluded points",
-    )
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_fit_spectrum)
-
-    p = sub.add_parser("fit-occupancy", help="fit the linear circuit-occupancy model")
-    p.add_argument("--records", required=True, help="CSV: gamma_e_hz,n_bar_e,sigma,method")
-    p.add_argument("--method", choices=["microwave", "optomechanical", "all"], default="all")
-    p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_fit_occupancy)
-
-    p = sub.add_parser("xi-e", help="microwave readout-efficiency product")
-    p.add_argument("--xi-o", type=float, required=True)
-    p.add_argument("--eps-cl", type=float, required=True)
-    p.add_argument("--ratio-det", type=float, required=True)
-    p.add_argument("--kappa-e-over-ext", type=float, required=True)
-    p.add_argument("--kappa-o-ext-over", type=float, required=True)
-    p.add_argument("--gamma-o-over-e", type=float, required=True)
-    p.add_argument("--gain-o-over-e", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_xi_e)
-
-    p = sub.add_parser("compare", help="emit registry scatter plus contour bundle")
-    p.add_argument("--registry", default="bundled", help="'bundled' or a CSV path")
-    p.add_argument("--direction", choices=["up", "down"], required=True)
-    p.add_argument("--levels", help="comma-separated contour levels in qubits/s")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="compute live points from this config")
-    p.add_argument("--include-external", action="store_true")
-    p.add_argument("--throughput-range-hz", default="0.01:100000")
-    p.set_defaults(fn=_cmd_compare)
-
+    command("validate", _cmd_validate, "check a config against the device invariants", config)
+    # noise's --duty has no default: without it the operating point's duty applies
+    command("noise", _cmd_noise, "evaluate one added-noise budget",
+            config, direction, model, ("--op", {"help": "operating point name from the config"}),
+            ("--gamma-e-hz", number), ("--gamma-o-hz", number), ("--duty", number), out)
+    command("sweep", _cmd_sweep, "sweep pump rates and tabulate noise vs throughput",
+            config, direction,
+            ("--variable", {"choices": ["gamma-e", "gamma-o", "both"], "default": "gamma-e"}),
+            ("--range-hz", {"required": True, "help": "LOW:HIGH for the swept rate"}),
+            ("--range2-hz", {"help": "LOW:HIGH for gamma_o when sweeping both"}),
+            ("--n", {"type": int, "default": 50}),
+            ("--gamma-e-hz", number), ("--gamma-o-hz", number), model, duty, out)
+    command("optimize", _cmd_optimize, "find the noise-optimal operating point",
+            config, direction, ("--gamma-o-hz", number), ("--bracket-hz", {"default": "10:1e7"}),
+            ("--ratio-bracket", {"default": "1e-3:1e3"}), model, duty, out)
+    command("capacity", _cmd_capacity, "capacity bounds: point, integrated, or grids",
+            ("--eta", number), ("--n-add", number), ("--bandwidth-hz", number), duty,
+            ("--form", {"choices": ["closed", "small-eta", "quadrature"], "default": "closed"}),
+            ("--grid-eta", {"help": "LOW:HIGH:N (linear)"}),
+            ("--grid-n-add", {"help": "LOW:HIGH:N (linear)"}),
+            ("--grid-throughput-hz", {"help": "LOW:HIGH:N (log spaced)"}), out)
+    command("contours", _cmd_contours, "iso-capacity contour polylines",
+            ("--levels", {"required": True, "help": "comma-separated qubits/s levels"}),
+            ("--throughput-range-hz", {"default": "0.01:100000"}),
+            ("--n-add-range", {"default": "0.001:0.999"}),
+            ("--n", {"type": int, "default": 512}), out)
+    command("filter-analysis", _cmd_filter_analysis, "notched-filter transmission and ringing",
+            ("--preset", {"choices": ["paper"]}), ("--linewidth-hz", number),
+            ("--center-hz", {"type": float, "default": 0.0}),
+            ("--notch", {"action": "append", "help": "LOW:HIGH in Hz, repeatable"}),
+            ("--t-rep-mult", {"type": float, "default": 3.0,
+                              "help": "repetition time in units of 1/Gamma_T"}),
+            ("--t-rep-s", number), ("--span-hz", number),
+            ("--n-points", {"type": int, "default": 2**20}),
+            ("--trace", {"help": "write the time-domain trace CSV here"}), out)
+    command("fit-spectrum", _cmd_fit_spectrum,
+            "fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands",
+            ("--spectrum", {"required": True, "help": "CSV: freq_hz,value"}),
+            ("--exclude", {"action": "append", "help": "LOW:HIGH band in Hz, repeatable"}),
+            ("--efficiency", {"help": "efficiency spectrum CSV; adds the efficiency-weighted "
+                                      "average of the fitted spectrum over unexcluded points"}),
+            out)
+    command("fit-occupancy", _cmd_fit_occupancy, "fit the linear circuit-occupancy model",
+            ("--records", {"required": True, "help": "CSV: gamma_e_hz,n_bar_e,sigma,method"}),
+            ("--method", {"choices": ["microwave", "optomechanical", "all"], "default": "all"}),
+            ("--unweighted", {"action": "store_true"}), out)
+    command("xi-e", _cmd_xi_e, "microwave readout-efficiency product",
+            *(("--" + name.replace("_", "-"), {"type": float, "required": True})
+              for name in calibration.READOUT_FACTORS), out)
+    command("compare", _cmd_compare, "emit registry scatter plus contour bundle",
+            ("--registry", {"default": "bundled", "help": "'bundled' or a CSV path"}), direction,
+            ("--levels", {"help": "comma-separated contour levels in qubits/s"}),
+            ("--out-dir", {"required": True}),
+            ("--config", {"help": "compute live points from this config"}),
+            ("--include-external", {"action": "store_true"}),
+            ("--throughput-range-hz", {"default": "0.01:100000"}))
     return parser
 
 
@@ -583,11 +430,13 @@ def cli_dispatch(argv) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except (ConfigError, registry.RegistryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        output = args.fn(args)
+        if isinstance(output, int):
+            return output
+        _write(output, getattr(args, "out", None))
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
+        # ConfigError and RegistryError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

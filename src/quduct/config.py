@@ -14,11 +14,13 @@ and converted to seconds internally.
 
 Unknown keys are rejected rather than ignored, since a silently dropped
 ``_hz`` suffix is exactly the kind of mistake this layer exists to stop.
+No key can hold nan or inf, so a non-finite value is rejected on load.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .core import DeviceParams, NoiseEnvironment, OperatingPoint, TWO_PI, rate_from_hz
@@ -74,9 +76,12 @@ def _get(parser, section, key, default=None):
     if parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+        return value
     return default
 
 
@@ -93,22 +98,13 @@ def load_config(path) -> Config:
         raise ConfigError("missing [noise] section")
 
     _check_keys("device", parser.options("device"), _DEVICE_REQUIRED, _DEVICE_OPTIONAL)
+    # each required key is a rate named after its field plus "_hz"; an
+    # optional key that is absent takes the field's DeviceParams default
     device = DeviceParams(
-        omega_m=rate_from_hz(_get(parser, "device", "omega_m_hz")),
-        gamma_m=rate_from_hz(_get(parser, "device", "gamma_m_hz")),
-        kappa_e=rate_from_hz(_get(parser, "device", "kappa_e_hz")),
-        kappa_e_ext=rate_from_hz(_get(parser, "device", "kappa_e_ext_hz")),
-        kappa_o=rate_from_hz(_get(parser, "device", "kappa_o_hz")),
-        kappa_o_ext=rate_from_hz(_get(parser, "device", "kappa_o_ext_hz")),
-        eta_m=_get(parser, "device", "eta_m", 1.0),
-        eps_mode=_get(parser, "device", "eps_mode", 1.0),
-        eps_pl=_get(parser, "device", "eps_pl", 1.0),
-        eps_cl=_get(parser, "device", "eps_cl", 1.0),
-        eps_e=_get(parser, "device", "eps_e", 1.0),
-        gain_e=_get(parser, "device", "gain_e"),
-        gain_o=_get(parser, "device", "gain_o"),
-        n_min_e=_get(parser, "device", "n_min_e"),
-        n_min_o=_get(parser, "device", "n_min_o"),
+        **{key[: -len("_hz")]: rate_from_hz(_get(parser, "device", key))
+           for key in _DEVICE_REQUIRED},
+        **{key: _get(parser, "device", key)
+           for key in _DEVICE_OPTIONAL if parser.has_option("device", key)},
     )
 
     _check_keys("noise", parser.options("noise"), _NOISE_REQUIRED, _NOISE_OPTIONAL)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,23 +205,7 @@ def assemble_budget(
 def validate_device(params: DeviceParams) -> ValidationReport:
     """Return the list of violated invariants of ``params`` (empty if valid)."""
     report = []
-    fields = {
-        "omega_m": params.omega_m,
-        "gamma_m": params.gamma_m,
-        "kappa_e": params.kappa_e,
-        "kappa_e_ext": params.kappa_e_ext,
-        "kappa_o": params.kappa_o,
-        "kappa_o_ext": params.kappa_o_ext,
-        "eta_m": params.eta_m,
-        "eps_mode": params.eps_mode,
-        "eps_pl": params.eps_pl,
-        "eps_cl": params.eps_cl,
-        "eps_e": params.eps_e,
-        "gain_e": params.gain_e,
-        "gain_o": params.gain_o,
-        "n_min_e": params.n_min_e,
-        "n_min_o": params.n_min_o,
-    }
+    fields = asdict(params)
     for name, value in fields.items():
         if not math.isfinite(value):
             report.append(f"{name} is not finite")

@@ -31,14 +31,6 @@ MODEL_IDEAL_DOWN_COMBINED = "ideal_down_combined"
 MODEL_LOSSY_UP = "lossy_up"
 MODEL_LOSSY_DOWN = "lossy_down"
 
-MODEL_KINDS = (
-    MODEL_IDEAL_UP,
-    MODEL_IDEAL_DOWN,
-    MODEL_IDEAL_DOWN_COMBINED,
-    MODEL_LOSSY_UP,
-    MODEL_LOSSY_DOWN,
-)
-
 
 def n_bar_e(env: NoiseEnvironment, gamma_e: float) -> float:
     """Microwave circuit occupancy at a given electromechanical rate,
@@ -196,6 +188,7 @@ _EVALUATORS = {
     MODEL_LOSSY_UP: n_add_up_lossy,
     MODEL_LOSSY_DOWN: n_add_down_lossy,
 }
+MODEL_KINDS = tuple(_EVALUATORS)
 
 
 def evaluate(

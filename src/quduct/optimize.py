@@ -50,7 +50,6 @@ class SweepSpec:
     gamma_e: float | tuple
     gamma_o: float | tuple
     n_samples: int
-    direction: str = "up"
     model: str = noise.MODEL_LOSSY_UP
     duty: float = 1.0
 

@@ -33,6 +33,10 @@ REGISTRY_HEADER = [
 SCATTER_HEADER = ["throughput_hz", "n_add", "label", "direction"]
 CONTOUR_HEADER = ["level", "x_throughput_hz", "y_n_add"]
 
+# Columns that hold text.  Every other column holds a float and is
+# written with format_float, whatever the type of the value passed in.
+TEXT_COLUMNS = frozenset({"label", "direction", "model", "form", "source", "notes"})
+
 
 class RegistryError(ValueError):
     """Malformed registry content; message lists line numbers."""
@@ -127,51 +131,54 @@ def load_registry(path=None) -> list:
         return _parse_rows(reader, str(path))
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the float, for deterministic CSV."""
+def format_float(x) -> str:
+    """Shortest decimal that round-trips the float, for deterministic output."""
     return repr(float(x))
 
 
+def write_csv(fh, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``fh`` as CSV.
+
+    Fields in :data:`TEXT_COLUMNS` are written as they are; every other
+    field goes through :func:`format_float`.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    text = [name in TEXT_COLUMNS for name in header]
+    if any(text):
+        rows = ([v if t else format_float(v) for t, v in zip(text, row)] for row in rows)
+    else:  # all floats, the common case, and the fast one
+        rows = (map(format_float, row) for row in rows)
+    writer.writerows(rows)
+
+
+def csv_text(header, rows) -> str:
+    """:func:`write_csv` output as a string."""
+    out = io.StringIO()
+    write_csv(out, header, rows)
+    return out.getvalue()
+
+
 def write_registry(records, path):
+    rows = ((r.label, r.direction, r.n_add, r.eta, r.bandwidth_hz, r.duty, r.source, r.notes)
+            for r in records)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGISTRY_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.label,
-                    r.direction,
-                    _fmt(r.n_add),
-                    _fmt(r.eta),
-                    _fmt(r.bandwidth_hz),
-                    _fmt(r.duty),
-                    r.source,
-                    r.notes,
-                ]
-            )
+        write_csv(fh, REGISTRY_HEADER, rows)
 
 
 def scatter_csv(records, direction: str | None = None) -> str:
     """Scatter CSV text of (throughput, noise) for the requested direction."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(SCATTER_HEADER)
-    for r in records:
-        if direction is not None and r.direction != direction:
-            continue
-        writer.writerow([_fmt(r.throughput_hz), _fmt(r.n_add), r.label, r.direction])
-    return out.getvalue()
+    rows = ((r.throughput_hz, r.n_add, r.label, r.direction)
+            for r in records if direction is None or r.direction == direction)
+    return csv_text(SCATTER_HEADER, rows)
 
 
 def contour_csv(levels, throughput_range_hz, n_add_range=(1e-3, 0.999), n_samples=512) -> str:
     """Contour polyline CSV for the given iso-rate levels."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(CONTOUR_HEADER)
-    for line in capacity_contours(levels, throughput_range_hz, n_add_range, n_samples):
-        for theta, n_add in zip(line.throughput_hz, line.n_add):
-            writer.writerow([_fmt(line.level), _fmt(theta), _fmt(n_add)])
-    return out.getvalue()
+    lines = capacity_contours(levels, throughput_range_hz, n_add_range, n_samples)
+    rows = ((line.level, theta, n_add)
+            for line in lines for theta, n_add in zip(line.throughput_hz, line.n_add))
+    return csv_text(CONTOUR_HEADER, rows)
 
 
 def emit_comparison(

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .registry import write_csv
+
 KIND_EFFICIENCY = "efficiency"
 KIND_OUTPUT_NOISE = "output_noise"
 KIND_INPUT_REFERRED = "input_referred_noise"
@@ -369,10 +371,7 @@ def read_spectrum_csv(path, kind: str = KIND_OUTPUT_NOISE) -> Spectrum:
 def write_spectrum_csv(spectrum: Spectrum, path):
     """Write a spectrum as CSV with the documented header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPECTRUM_CSV_HEADER)
-        for f, v in zip(spectrum.grid.frequencies(), spectrum.values):
-            writer.writerow([repr(float(f)), repr(float(v))])
+        write_csv(fh, SPECTRUM_CSV_HEADER, zip(spectrum.grid.frequencies(), spectrum.values))
 
 
 def averaged_added_noise(

@@ -6,6 +6,7 @@ import pytest
 from quduct.capacity import (
     LN2,
     ChannelSpec,
+    _capacity_bound,
     cap_integrated_closed,
     cap_integrated_high_eta_limit,
     cap_integrated_quadrature,
@@ -29,6 +30,19 @@ def plob_bound(eta: float, n_add: float) -> float:
     n = n_add * eta / (1.0 - eta)
     g = (n + 1.0) * math.log2(n + 1.0) - (n * math.log2(n) if n > 0 else 0.0)
     return max(-math.log2((1.0 - eta) * eta**n) - g, 0.0)
+
+
+def test_broadcasting_and_scalars():
+    eta = np.array([0.1, 0.5, 0.9])
+    out = _capacity_bound(eta, 0.0)
+    assert out.shape == (3,)
+    expected = -np.log2(1.0 - eta)
+    assert np.allclose(out, expected, rtol=1e-13)
+    assert float(_capacity_bound(0.5, 1.0)) == 0.0
+    rng = np.random.default_rng(19)
+    assert np.all(
+        _capacity_bound(rng.uniform(0.0, 0.999, 4096), rng.uniform(0.0, 1.5, 4096)) >= 0.0
+    )
 
 
 def test_point_pure_loss_reduction():

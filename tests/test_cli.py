@@ -1,10 +1,9 @@
-import math
-
+import numpy as np
 import pytest
 
-from quduct.capacity import ChannelSpec, cap_integrated_closed
+from quduct.capacity import ChannelSpec, cap_integrated_closed, cap_small_eta, cap_ub_point
 from quduct.cli import cli_dispatch
-from quduct.registry import bundled_registry_path
+from quduct.registry import bundled_registry_path, contour_csv
 
 EXAMPLE_CFG = str(bundled_registry_path().parent / "example_device.cfg")
 
@@ -91,37 +90,79 @@ def test_capacity_point_cross_checks_library(capsys):
     assert integrated == pytest.approx(expected, rel=1e-12)
 
 
+def _csv_lines(header, rows):
+    """CSV text as the CLI writes it, floats rendered one value at a time."""
+    return "".join(
+        ",".join(f if isinstance(f, str) else repr(float(f)) for f in row) + "\r\n"
+        for row in [header, *rows]
+    )
+
+
 def test_capacity_grid(capsys):
+    # rows start at eta = 0 and n_add = 0 and cross n_add = 1, where the
+    # bound turns to zero; any ulp of drift in a cell changes the bytes
     code, out, _ = run(
-        capsys, "capacity", "--grid-eta", "0.1:0.9:5", "--grid-n-add", "0:0.9:4",
+        capsys, "capacity", "--grid-eta", "0:0.95:30", "--grid-n-add", "0:1.2:25",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "eta,n_add,c_ub"
-    assert len(lines) == 1 + 5 * 4
+    expected = _csv_lines(
+        ["eta", "n_add", "c_ub"],
+        [(eta, n_add, cap_ub_point(eta, n_add))
+         for eta in np.linspace(0.0, 0.95, 30) for n_add in np.linspace(0.0, 1.2, 25)],
+    )
+    assert out == expected
+
+
+def test_capacity_grid_out_of_range_writes_nothing(capsys):
+    code, out, err = run(
+        capsys, "capacity", "--grid-eta", "0.5:1:3", "--grid-n-add", "0:0.9:4",
+    )
+    assert code == 1
+    assert out == ""
+    assert "eta" in err
 
 
 def test_capacity_throughput_grid(capsys):
+    # 60 n_add values, enough that a slope taken with np.log instead of
+    # the scalar math.log of cap_small_eta differs in some cell
     code, out, _ = run(
-        capsys, "capacity", "--grid-throughput-hz", "1:1000:4",
-        "--grid-n-add", "0:0.9:3",
+        capsys, "capacity", "--grid-throughput-hz", "0.5:2e5:10",
+        "--grid-n-add", "0:1.2:60",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "throughput_hz,n_add,cap_qubits_per_s,form"
-    assert len(lines) == 13
-    assert all(line.endswith("small-eta") for line in lines[1:])
+    expected = _csv_lines(
+        ["throughput_hz", "n_add", "cap_qubits_per_s", "form"],
+        [(theta, n_add, cap_small_eta(n_add, theta), "small-eta")
+         for theta in np.geomspace(0.5, 2e5, 10) for n_add in np.linspace(0.0, 1.2, 60)],
+    )
+    assert out == expected
 
 
 def test_contours_csv(capsys):
     code, out, _ = run(
-        capsys, "contours", "--levels", "1000",
+        capsys, "contours", "--levels", "10,1000",
         "--throughput-range-hz", "1:100000", "--n", "33",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "level,x_throughput_hz,y_n_add"
-    assert len(lines) > 10
+    assert out == contour_csv([10.0, 1000.0], (1.0, 100000.0), (0.001, 0.999), 33)
+    assert len(out.splitlines()) > 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", "--eta", "0.4", "--n-add", "0.5", "--bandwidth-hz", "22000"),
+        ("sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--range-hz", "1000:2000",
+         "--gamma-o-hz", "11000", "--n", "3"),
+        ("optimize", "--config", EXAMPLE_CFG, "--direction", "up", "--gamma-o-hz", "11000"),
+    ],
+    ids=["capacity", "sweep", "optimize"],
+)
+def test_zero_duty_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv, "--duty", "0")
+    assert code == 1
+    assert out == ""
+    assert "duty" in err
 
 
 def test_filter_analysis_preset(capsys):

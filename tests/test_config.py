@@ -72,6 +72,19 @@ def test_nonnumeric_value(tmp_path):
         load_config(write(tmp_path, GOOD.replace("0.4", "forty")))
 
 
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("omega_m_hz = 1.27e6", "omega_m_hz = nan", r"\[device\] omega_m_hz"),
+        ("gamma_o_hz = 11000", "gamma_o_hz = inf", r"\[operating_point.up\] gamma_o_hz"),
+    ],
+    ids=["nan", "inf"],
+)
+def test_nonfinite_value_names_section_and_key(tmp_path, old, new, where):
+    with pytest.raises(ConfigError, match=where + ".*not finite"):
+        load_config(write(tmp_path, GOOD.replace(old, new)))
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.cfg")

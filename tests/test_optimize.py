@@ -149,7 +149,6 @@ def test_sweep_u_shape_and_rederivability():
         gamma_e=(rate_from_hz(300.0), rate_from_hz(3e6)),
         gamma_o=rate_from_hz(11e3),
         n_samples=60,
-        direction="up",
         model=noise.MODEL_LOSSY_UP,
     )
     points = optimize.sweep(spec, params, CAL_ENV)
@@ -173,7 +172,6 @@ def test_sweep_minimum_near_stationarity_point():
             gamma_e=(rate_from_hz(1e3), rate_from_hz(1e6)),
             gamma_o=rate_from_hz(11e3),
             n_samples=400,
-            direction="up",
             model=noise.MODEL_LOSSY_UP,
         ),
         clean_params(),
@@ -192,7 +190,6 @@ def test_sweep_matched_lossless_efficiency_is_unity():
             gamma_e=(1e3, 1e3 + 1e-6),
             gamma_o=1e3,
             n_samples=1,
-            direction="up",
             model=noise.MODEL_IDEAL_UP,
         ),
         params,
@@ -212,7 +209,6 @@ def test_sweep_single_sample_equals_direct_evaluation():
         gamma_e=rate_from_hz(8e3),
         gamma_o=(rate_from_hz(11e3), rate_from_hz(12e3)),
         n_samples=1,
-        direction="down",
         model=noise.MODEL_LOSSY_DOWN,
     )
     (point,) = optimize.sweep(spec, params, CAL_ENV)
@@ -232,7 +228,6 @@ def test_sweep_collects_per_point_failures():
             gamma_e=(1e4, 1e9),
             gamma_o=1e4,
             n_samples=30,
-            direction="up",
             model=noise.MODEL_IDEAL_UP,
         ),
         params,
@@ -250,7 +245,6 @@ def test_sweep_both_grid():
         gamma_e=(1e3, 1e5),
         gamma_o=(1e3, 1e5),
         n_samples=5,
-        direction="down",
         model=noise.MODEL_IDEAL_DOWN,
     )
     points = optimize.sweep(spec, clean_params(), CAL_ENV)
