@@ -166,6 +166,18 @@ def cap_small_eta(n_add: float, throughput_hz: float) -> float:
     return math.pi * throughput_hz * _small_eta_slope(n_add)
 
 
+def cap_small_eta_rows(throughputs_hz, n_add):
+    """:func:`cap_small_eta` over the ``n_add`` values, one array per throughput.
+
+    The slopes are taken once, with the scalar logarithm of
+    :func:`cap_small_eta` (np.log differs from math.log in the last ulp on
+    some arguments), so every value equals ``cap_small_eta`` bit for bit.
+    """
+    slopes = np.array([_small_eta_slope(n) for n in n_add])
+    for throughput_hz in throughputs_hz:
+        yield math.pi * throughput_hz * slopes
+
+
 def cap_integrated_quadrature(spec: ChannelSpec, n_points: int = 256) -> float:
     """Bandwidth-integrated capacity bound by numerical quadrature.
 

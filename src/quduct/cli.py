@@ -27,10 +27,10 @@ import numpy as np
 from . import calibration, filters, noise, optimize, registry
 from .capacity import (
     ChannelSpec,
-    _small_eta_slope,
     cap_integrated_closed,
     cap_integrated_quadrature,
     cap_small_eta,
+    cap_small_eta_rows,
     cap_ub_grid,
     cap_ub_point,
 )
@@ -119,13 +119,12 @@ def _cmd_noise(args):
     cfg = load_config(args.config)
     op = _resolve_op(args, cfg)
     model = _model_for(args.direction, args.model)
-    b = noise.evaluate(model, cfg.device, op, cfg.environment)
-    return (
-        ["direction", "model", "gamma_e_hz", "gamma_o_hz",
-         "n_add_motional", "n_add_em", "n_add_corr", "n_add_total"],
-        [[b.direction, model, rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o),
-          b.motional, b.electromagnetic, b.correlation, b.total]],
-    )
+    budget = noise.evaluate(model, cfg.device, op, cfg.environment)
+    header = ["direction", "model", "gamma_e_hz", "gamma_o_hz",
+              "n_add_motional", "n_add_em", "n_add_corr", "n_add_total"]
+    row = [budget.direction, model, rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o),
+           budget.motional, budget.electromagnetic, budget.correlation, budget.total]
+    return header, [row]
 
 
 def _cmd_sweep(args):
@@ -145,19 +144,27 @@ def _cmd_sweep(args):
             raise ValueError("sweeping both needs --range2-hz for gamma_o")
         gamma_o = _rate_range(args.range2_hz, "--range2-hz")
     spec = optimize.SweepSpec(
-        variable=args.variable.replace("-", "_"), gamma_e=gamma_e, gamma_o=gamma_o,
-        n_samples=args.n, model=model, duty=args.duty,
-    )
-    # a point the model could not evaluate has no budget: its noise is nan
-    rows = (
-        (rate_to_hz(p.op.gamma_e), rate_to_hz(p.op.gamma_o), p.throughput_hz, p.n_add_total,
-         *((p.budget.motional, p.budget.electromagnetic, p.budget.correlation)
-           if p.budget else (math.nan,) * 3))
-        for p in optimize.sweep(spec, cfg.device, cfg.environment)
+        variable=args.variable.replace("-", "_"),
+        gamma_e=gamma_e,
+        gamma_o=gamma_o,
+        n_samples=args.n,
+        model=model,
+        duty=args.duty,
     )
     header = ["gamma_e_hz", "gamma_o_hz", "throughput_hz", "n_add_total",
               "n_add_motional", "n_add_em", "n_add_corr"]
-    return header, rows
+    return header, map(_sweep_row, optimize.sweep(spec, cfg.device, cfg.environment))
+
+
+def _sweep_row(point) -> list:
+    """One sweep CSV row; a point the model could not evaluate has nan noise."""
+    budget = point.budget
+    if budget is None:
+        terms = [math.nan, math.nan, math.nan]
+    else:
+        terms = [budget.motional, budget.electromagnetic, budget.correlation]
+    return [rate_to_hz(point.op.gamma_e), rate_to_hz(point.op.gamma_o),
+            point.throughput_hz, point.n_add_total, *terms]
 
 
 def _cmd_optimize(args):
@@ -178,14 +185,18 @@ def _cmd_optimize(args):
             ratio_bracket=_parse_pair(args.ratio_bracket, "--ratio-bracket"),
             model=model, duty=args.duty,
         )
-    b = result.budget
+    budget = result.budget
     return [
         f"direction={args.direction}",
         f"model={model}",
-        *_floats(gamma_e_hz=rate_to_hz(result.op.gamma_e),
-                 gamma_o_hz=rate_to_hz(result.op.gamma_o),
-                 n_add_total=b.total, n_add_motional=b.motional,
-                 n_add_em=b.electromagnetic, n_add_corr=b.correlation),
+        *_floats(
+            gamma_e_hz=rate_to_hz(result.op.gamma_e),
+            gamma_o_hz=rate_to_hz(result.op.gamma_o),
+            n_add_total=budget.total,
+            n_add_motional=budget.motional,
+            n_add_em=budget.electromagnetic,
+            n_add_corr=budget.correlation,
+        ),
         f"at_boundary={result.at_boundary}",
         f"flat_objective={result.flat_objective}",
     ]
@@ -206,13 +217,10 @@ def _cmd_capacity(args):
                 for n_add, c in zip(n_values, cap_ub_grid(eta, n_values))
             )
         thetas = np.geomspace(*_parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz"))
-        # the scalar slope of cap_small_eta: np.log and math.log differ in
-        # the last ulp on some arguments
-        slopes = np.array([_small_eta_slope(n_add) for n_add in n_values])
         return ["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
             (theta, n_add, cap, "small-eta")
-            for theta in thetas
-            for n_add, cap in zip(n_values, (math.pi * theta) * slopes)
+            for theta, caps in zip(thetas, cap_small_eta_rows(thetas, n_values))
+            for n_add, cap in zip(n_values, caps)
         )
 
     if args.eta is None or args.n_add is None:
@@ -259,13 +267,18 @@ def _cmd_filter_analysis(args) -> int:
     summary = (report.eta_notch, report.eta_temporal, report.eta_total,
                report.tail_noise_photons, report.t_rep_s)
     # the report goes out before the trace, so an unwritable --trace path still leaves it
+    notches = ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in spec.notches)
     _write([
         *_floats(linewidth_hz=spec.linewidth_hz, t_rep_s=report.t_rep_s),
-        "notches=" + ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in spec.notches),
-        *_floats(eta_notch=report.eta_notch, eta_temporal=report.eta_temporal,
-                 eta_total=report.eta_total, tail_noise_photons=report.tail_noise_photons,
-                 tail_first_window_photons=report.tail_first_window_photons,
-                 pre_window_energy=report.pre_window_energy),
+        f"notches={notches}",
+        *_floats(
+            eta_notch=report.eta_notch,
+            eta_temporal=report.eta_temporal,
+            eta_total=report.eta_total,
+            tail_noise_photons=report.tail_noise_photons,
+            tail_first_window_photons=report.tail_first_window_photons,
+            pre_window_energy=report.pre_window_energy,
+        ),
         "",
         "eta_notch,eta_temporal,eta_total,tail_noise_photons,t_rep_s",
         ",".join(map(format_float, summary)),
@@ -285,8 +298,13 @@ def _cmd_fit_spectrum(args):
     exclude = spectra.ExclusionBands([_parse_pair(b, "--exclude") for b in args.exclude or []])
     fit = spectra.fit_lorentzian(spectrum, exclude)
     lines = [
-        *_floats(center_hz=fit.center_hz, fwhm_hz=fit.fwhm_hz, peak_height=fit.peak_height,
-                 floor=fit.floor, residual_norm=fit.residual_norm),
+        *_floats(
+            center_hz=fit.center_hz,
+            fwhm_hz=fit.fwhm_hz,
+            peak_height=fit.peak_height,
+            floor=fit.floor,
+            residual_norm=fit.residual_norm,
+        ),
         f"converged={fit.converged}",
         f"n_iterations={fit.n_iterations}",
     ]
@@ -306,8 +324,12 @@ def _cmd_fit_occupancy(args):
         "# occupancy slope quoted per Hz of gamma_e (Hz convention)",
         f"n_records={len(records)}",
         f"method={args.method}",
-        *_floats(a_e_per_hz=fit.a_e_per_hz, sigma_a_e_per_hz=fit.sigma_a_e * 2.0 * np.pi,
-                 b_e=fit.b_e, sigma_b_e=fit.sigma_b_e),
+        *_floats(
+            a_e_per_hz=fit.a_e_per_hz,
+            sigma_a_e_per_hz=fit.sigma_a_e * 2.0 * np.pi,
+            b_e=fit.b_e,
+            sigma_b_e=fit.sigma_b_e,
+        ),
     ]
 
 
@@ -328,10 +350,14 @@ def _cmd_compare(args):
         for name, op in sorted(cfg.operating_points.items()):
             budget = noise.evaluate(model, cfg.device, op, cfg.environment)
             live.append(registry.DeviceRecord(
-                label=f"config:{name}", direction=args.direction, n_add=max(budget.total, 0.0),
+                label=f"config:{name}",
+                direction=args.direction,
+                n_add=max(budget.total, 0.0),
                 eta=min(apparent_efficiency(cfg.device, op), 1.0),
-                bandwidth_hz=bandwidth_hz(cfg.device, op), duty=op.duty,
-                source="live", notes="computed from config",
+                bandwidth_hz=bandwidth_hz(cfg.device, op),
+                duty=op.duty,
+                source="live",
+                notes="computed from config",
             ))
     levels = [float(x) for x in args.levels.split(",")] if args.levels else []
     written = registry.emit_comparison(
@@ -349,76 +375,109 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, *arguments):
-        """Add subcommand ``name``; each argument is a (flag, options) pair."""
+    def command(name, fn, help):
         p = sub.add_parser(name, help=help)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
+        return p
 
-    number = {"type": float}
-    config = ("--config", {"required": True})
-    direction = ("--direction", {"choices": ["up", "down"], "required": True})
-    model = ("--model", {"choices": ["ideal", "lossy", "combined"], "default": "lossy"})
-    duty = ("--duty", {"type": float, "default": 1.0})
-    out = ("--out", {})
+    directions = ["up", "down"]
+    models = ["ideal", "lossy", "combined"]
 
-    command("validate", _cmd_validate, "check a config against the device invariants", config)
-    # noise's --duty has no default: without it the operating point's duty applies
-    command("noise", _cmd_noise, "evaluate one added-noise budget",
-            config, direction, model, ("--op", {"help": "operating point name from the config"}),
-            ("--gamma-e-hz", number), ("--gamma-o-hz", number), ("--duty", number), out)
-    command("sweep", _cmd_sweep, "sweep pump rates and tabulate noise vs throughput",
-            config, direction,
-            ("--variable", {"choices": ["gamma-e", "gamma-o", "both"], "default": "gamma-e"}),
-            ("--range-hz", {"required": True, "help": "LOW:HIGH for the swept rate"}),
-            ("--range2-hz", {"help": "LOW:HIGH for gamma_o when sweeping both"}),
-            ("--n", {"type": int, "default": 50}),
-            ("--gamma-e-hz", number), ("--gamma-o-hz", number), model, duty, out)
-    command("optimize", _cmd_optimize, "find the noise-optimal operating point",
-            config, direction, ("--gamma-o-hz", number), ("--bracket-hz", {"default": "10:1e7"}),
-            ("--ratio-bracket", {"default": "1e-3:1e3"}), model, duty, out)
-    command("capacity", _cmd_capacity, "capacity bounds: point, integrated, or grids",
-            ("--eta", number), ("--n-add", number), ("--bandwidth-hz", number), duty,
-            ("--form", {"choices": ["closed", "small-eta", "quadrature"], "default": "closed"}),
-            ("--grid-eta", {"help": "LOW:HIGH:N (linear)"}),
-            ("--grid-n-add", {"help": "LOW:HIGH:N (linear)"}),
-            ("--grid-throughput-hz", {"help": "LOW:HIGH:N (log spaced)"}), out)
-    command("contours", _cmd_contours, "iso-capacity contour polylines",
-            ("--levels", {"required": True, "help": "comma-separated qubits/s levels"}),
-            ("--throughput-range-hz", {"default": "0.01:100000"}),
-            ("--n-add-range", {"default": "0.001:0.999"}),
-            ("--n", {"type": int, "default": 512}), out)
-    command("filter-analysis", _cmd_filter_analysis, "notched-filter transmission and ringing",
-            ("--preset", {"choices": ["paper"]}), ("--linewidth-hz", number),
-            ("--center-hz", {"type": float, "default": 0.0}),
-            ("--notch", {"action": "append", "help": "LOW:HIGH in Hz, repeatable"}),
-            ("--t-rep-mult", {"type": float, "default": 3.0,
-                              "help": "repetition time in units of 1/Gamma_T"}),
-            ("--t-rep-s", number), ("--span-hz", number),
-            ("--n-points", {"type": int, "default": 2**20}),
-            ("--trace", {"help": "write the time-domain trace CSV here"}), out)
-    command("fit-spectrum", _cmd_fit_spectrum,
-            "fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands",
-            ("--spectrum", {"required": True, "help": "CSV: freq_hz,value"}),
-            ("--exclude", {"action": "append", "help": "LOW:HIGH band in Hz, repeatable"}),
-            ("--efficiency", {"help": "efficiency spectrum CSV; adds the efficiency-weighted "
-                                      "average of the fitted spectrum over unexcluded points"}),
-            out)
-    command("fit-occupancy", _cmd_fit_occupancy, "fit the linear circuit-occupancy model",
-            ("--records", {"required": True, "help": "CSV: gamma_e_hz,n_bar_e,sigma,method"}),
-            ("--method", {"choices": ["microwave", "optomechanical", "all"], "default": "all"}),
-            ("--unweighted", {"action": "store_true"}), out)
-    command("xi-e", _cmd_xi_e, "microwave readout-efficiency product",
-            *(("--" + name.replace("_", "-"), {"type": float, "required": True})
-              for name in calibration.READOUT_FACTORS), out)
-    command("compare", _cmd_compare, "emit registry scatter plus contour bundle",
-            ("--registry", {"default": "bundled", "help": "'bundled' or a CSV path"}), direction,
-            ("--levels", {"help": "comma-separated contour levels in qubits/s"}),
-            ("--out-dir", {"required": True}),
-            ("--config", {"help": "compute live points from this config"}),
-            ("--include-external", {"action": "store_true"}),
-            ("--throughput-range-hz", {"default": "0.01:100000"}))
+    p = command("validate", _cmd_validate, "check a config against the device invariants")
+    p.add_argument("--config", required=True)
+
+    p = command("noise", _cmd_noise, "evaluate one added-noise budget")
+    p.add_argument("--config", required=True)
+    p.add_argument("--direction", choices=directions, required=True)
+    p.add_argument("--model", choices=models, default="lossy")
+    p.add_argument("--op", help="operating point name from the config")
+    p.add_argument("--gamma-e-hz", type=float)
+    p.add_argument("--gamma-o-hz", type=float)
+    # no default: without --duty the operating point's duty applies
+    p.add_argument("--duty", type=float)
+    p.add_argument("--out")
+
+    p = command("sweep", _cmd_sweep, "sweep pump rates and tabulate noise vs throughput")
+    p.add_argument("--config", required=True)
+    p.add_argument("--direction", choices=directions, required=True)
+    p.add_argument("--variable", choices=["gamma-e", "gamma-o", "both"], default="gamma-e")
+    p.add_argument("--range-hz", required=True, help="LOW:HIGH for the swept rate")
+    p.add_argument("--range2-hz", help="LOW:HIGH for gamma_o when sweeping both")
+    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--gamma-e-hz", type=float)
+    p.add_argument("--gamma-o-hz", type=float)
+    p.add_argument("--model", choices=models, default="lossy")
+    p.add_argument("--duty", type=float, default=1.0)
+    p.add_argument("--out")
+
+    p = command("optimize", _cmd_optimize, "find the noise-optimal operating point")
+    p.add_argument("--config", required=True)
+    p.add_argument("--direction", choices=directions, required=True)
+    p.add_argument("--gamma-o-hz", type=float)
+    p.add_argument("--bracket-hz", default="10:1e7")
+    p.add_argument("--ratio-bracket", default="1e-3:1e3")
+    p.add_argument("--model", choices=models, default="lossy")
+    p.add_argument("--duty", type=float, default=1.0)
+    p.add_argument("--out")
+
+    p = command("capacity", _cmd_capacity, "capacity bounds: point, integrated, or grids")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--n-add", type=float)
+    p.add_argument("--bandwidth-hz", type=float)
+    p.add_argument("--duty", type=float, default=1.0)
+    p.add_argument("--form", choices=["closed", "small-eta", "quadrature"], default="closed")
+    p.add_argument("--grid-eta", help="LOW:HIGH:N (linear)")
+    p.add_argument("--grid-n-add", help="LOW:HIGH:N (linear)")
+    p.add_argument("--grid-throughput-hz", help="LOW:HIGH:N (log spaced)")
+    p.add_argument("--out")
+
+    p = command("contours", _cmd_contours, "iso-capacity contour polylines")
+    p.add_argument("--levels", required=True, help="comma-separated qubits/s levels")
+    p.add_argument("--throughput-range-hz", default="0.01:100000")
+    p.add_argument("--n-add-range", default="0.001:0.999")
+    p.add_argument("--n", type=int, default=512)
+    p.add_argument("--out")
+
+    p = command("filter-analysis", _cmd_filter_analysis, "notched-filter transmission and ringing")
+    p.add_argument("--preset", choices=["paper"])
+    p.add_argument("--linewidth-hz", type=float)
+    p.add_argument("--center-hz", type=float, default=0.0)
+    p.add_argument("--notch", action="append", help="LOW:HIGH in Hz, repeatable")
+    p.add_argument("--t-rep-mult", type=float, default=3.0,
+                   help="repetition time in units of 1/Gamma_T")
+    p.add_argument("--t-rep-s", type=float)
+    p.add_argument("--span-hz", type=float)
+    p.add_argument("--n-points", type=int, default=2**20)
+    p.add_argument("--trace", help="write the time-domain trace CSV here")
+    p.add_argument("--out")
+
+    p = command("fit-spectrum", _cmd_fit_spectrum,
+                "fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands")
+    p.add_argument("--spectrum", required=True, help="CSV: freq_hz,value")
+    p.add_argument("--exclude", action="append", help="LOW:HIGH band in Hz, repeatable")
+    p.add_argument("--efficiency", help="efficiency spectrum CSV; adds the efficiency-weighted "
+                   "average of the fitted spectrum over unexcluded points")
+    p.add_argument("--out")
+
+    p = command("fit-occupancy", _cmd_fit_occupancy, "fit the linear circuit-occupancy model")
+    p.add_argument("--records", required=True, help="CSV: gamma_e_hz,n_bar_e,sigma,method")
+    p.add_argument("--method", choices=["microwave", "optomechanical", "all"], default="all")
+    p.add_argument("--unweighted", action="store_true")
+    p.add_argument("--out")
+
+    p = command("xi-e", _cmd_xi_e, "microwave readout-efficiency product")
+    for name in calibration.READOUT_FACTORS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, required=True)
+    p.add_argument("--out")
+
+    p = command("compare", _cmd_compare, "emit registry scatter plus contour bundle")
+    p.add_argument("--registry", default="bundled", help="'bundled' or a CSV path")
+    p.add_argument("--direction", choices=directions, required=True)
+    p.add_argument("--levels", help="comma-separated contour levels in qubits/s")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--config", help="compute live points from this config")
+    p.add_argument("--include-external", action="store_true")
+    p.add_argument("--throughput-range-hz", default="0.01:100000")
     return parser
 
 

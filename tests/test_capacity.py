@@ -11,6 +11,7 @@ from quduct.capacity import (
     cap_integrated_high_eta_limit,
     cap_integrated_quadrature,
     cap_small_eta,
+    cap_small_eta_rows,
     cap_ub_grid,
     cap_ub_point,
     capacity_contours,
@@ -221,6 +222,17 @@ def test_contour_zero_noise_crossing():
 def test_contour_empty_above_range():
     lines = capacity_contours([1e12], (1e-2, 1e2), (1e-3, 0.999))
     assert lines[0].throughput_hz.size == 0
+
+
+def test_small_eta_rows_match_scalar_form():
+    # n_add runs from 0 across 1, where the slope is clamped; equal lists
+    # of floats mean every cell matches cap_small_eta bit for bit
+    thetas = np.geomspace(0.5, 2e5, 7)
+    n_values = np.linspace(0.0, 1.2, 301)
+    rows = list(cap_small_eta_rows(thetas, n_values))
+    assert len(rows) == thetas.size
+    for theta, row in zip(thetas, rows):
+        assert row.tolist() == [cap_small_eta(n_add, theta) for n_add in n_values]
 
 
 def test_closed_unit_conversion_anchor():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from quduct.capacity import ChannelSpec, cap_integrated_closed, cap_small_eta, cap_ub_point
+from quduct.capacity import (
+    ChannelSpec,
+    cap_integrated_closed,
+    cap_small_eta,
+    cap_ub_point,
+    capacity_contours,
+)
 from quduct.cli import cli_dispatch
 from quduct.registry import bundled_registry_path, contour_csv
 
@@ -144,6 +150,14 @@ def test_contours_csv(capsys):
         "--throughput-range-hz", "1:100000", "--n", "33",
     )
     assert code == 0
+    assert out.splitlines()[0] == "level,x_throughput_hz,y_n_add"
+    lines = capacity_contours([10.0, 1000.0], (1.0, 100000.0), (0.001, 0.999), 33)
+    expected = _csv_lines(
+        ["level", "x_throughput_hz", "y_n_add"],
+        [(line.level, theta, n_add)
+         for line in lines for theta, n_add in zip(line.throughput_hz, line.n_add)],
+    )
+    assert out == expected
     assert out == contour_csv([10.0, 1000.0], (1.0, 100000.0), (0.001, 0.999), 33)
     assert len(out.splitlines()) > 10
 
