@@ -93,7 +93,7 @@ def cap_ub_point(eta: float, n_add: float) -> float:
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must be in [0, 1), got {eta}")
-    if n_add < 0.0:
+    if not n_add >= 0.0:
         raise ValueError(f"n_add must be nonnegative, got {n_add}")
     return float(_capacity_bound(eta, n_add))
 
@@ -102,17 +102,24 @@ def cap_ub_grid(eta, n_add) -> np.ndarray:
     """Elementwise :func:`cap_ub_point` over broadcastable arrays."""
     eta = np.asarray(eta, dtype=float)
     n_add = np.asarray(n_add, dtype=float)
-    # written so that nan eta fails as in cap_ub_point
+    # written so that nan fails as in cap_ub_point
     if not np.all((eta >= 0.0) & (eta < 1.0)):
         raise ValueError("eta values must lie in [0, 1)")
-    if np.any(n_add < 0.0):
+    if not np.all(n_add >= 0.0):
         raise ValueError("n_add values must be nonnegative")
     return _capacity_bound(eta, n_add)
 
 
 def _small_eta_slope(n_add: float) -> float:
-    """(1 - N + N ln N) / ln 2, the per-Hz capacity slope as eta -> 0."""
-    if n_add <= 0.0:
+    """(1 - N + N ln N) / ln 2, the per-Hz capacity slope as eta -> 0.
+
+    Zero for N >= 1, where the channel has no quantum capacity.
+    """
+    if not n_add >= 0.0:
+        raise ValueError(f"n_add must be nonnegative, got {n_add}")
+    if n_add >= 1.0:
+        return 0.0
+    if n_add == 0.0:
         return 1.0 / LN2
     g = 1.0 - n_add + n_add * math.log(n_add)
     return max(g, 0.0) / LN2
@@ -161,7 +168,7 @@ def cap_small_eta(n_add: float, throughput_hz: float) -> float:
     """Small-efficiency integrated bound, qubits/s, linear in throughput.
 
     (pi * throughput / ln 2) * (1 - N + N ln N); the N = 0 value is
-    pi * throughput / ln 2.
+    pi * throughput / ln 2, and the rate is 0 for N >= 1.
     """
     return math.pi * throughput_hz * _small_eta_slope(n_add)
 
@@ -172,10 +179,10 @@ def cap_small_eta_rows(throughputs_hz, n_add):
     The slopes are taken once, with the scalar logarithm of
     :func:`cap_small_eta` (np.log differs from math.log in the last ulp on
     some arguments), so every value equals ``cap_small_eta`` bit for bit.
+    Bad ``n_add`` fails here, before the first row.
     """
     slopes = np.array([_small_eta_slope(n) for n in n_add])
-    for throughput_hz in throughputs_hz:
-        yield math.pi * throughput_hz * slopes
+    return (math.pi * throughput_hz * slopes for throughput_hz in throughputs_hz)
 
 
 def cap_integrated_quadrature(spec: ChannelSpec, n_points: int = 256) -> float:

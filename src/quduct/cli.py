@@ -263,7 +263,9 @@ def _cmd_filter_analysis(args) -> int:
             notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch or []),
         )
     t_rep = args.t_rep_s if args.t_rep_s is not None else args.t_rep_mult / spec.gamma_t
-    report = filters.analyze_filter(spec, t_rep, span_hz=args.span_hz, n_points=args.n_points)
+    # one response serves both the report and the trace
+    response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
+    report = filters.filter_report(response, t_rep)
     summary = (report.eta_notch, report.eta_temporal, report.eta_total,
                report.tail_noise_photons, report.t_rep_s)
     # the report goes out before the trace, so an unwritable --trace path still leaves it
@@ -284,7 +286,6 @@ def _cmd_filter_analysis(args) -> int:
         ",".join(map(format_float, summary)),
     ], args.out)
     if args.trace:
-        response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
         with open(args.trace, "w", newline="") as fh:
             rows = zip(response.times_s, response.energy_density)
             registry.write_csv(fh, ["t_s", "energy_density"], rows)

@@ -225,7 +225,7 @@ def test_contour_empty_above_range():
 
 
 def test_small_eta_rows_match_scalar_form():
-    # n_add runs from 0 across 1, where the slope is clamped; equal lists
+    # n_add runs from 0 across 1, where the slope turns to zero; equal lists
     # of floats mean every cell matches cap_small_eta bit for bit
     thetas = np.geomspace(0.5, 2e5, 7)
     n_values = np.linspace(0.0, 1.2, 301)
@@ -233,6 +233,33 @@ def test_small_eta_rows_match_scalar_form():
     assert len(rows) == thetas.size
     for theta, row in zip(thetas, rows):
         assert row.tolist() == [cap_small_eta(n_add, theta) for n_add in n_values]
+
+
+@pytest.mark.parametrize("n_add", [1.0, 1.2, 1.5])
+def test_small_eta_zero_without_quantum_capacity(n_add):
+    # 1 - N + N ln N is positive again above N = 1, but the channel there
+    # has no quantum capacity, as the point bound and the closed form say
+    assert cap_ub_point(0.01, n_add) == 0.0
+    assert cap_integrated_closed(ChannelSpec(0.01, n_add, 1.0)) == 0.0
+    assert cap_small_eta(n_add, 1.0) == 0.0
+    rows = cap_small_eta_rows([1.0, 10.0], [n_add])
+    assert [row.tolist() for row in rows] == [[0.0], [0.0]]
+
+
+@pytest.mark.parametrize("n_add", [math.nan, -1.0, -1e-300])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: cap_ub_point(0.4, n),
+        lambda n: cap_ub_grid([0.1, 0.4], [0.5, n]),
+        lambda n: cap_small_eta(n, 1.0),
+        lambda n: cap_small_eta_rows([1.0], [0.5, n]),
+    ],
+    ids=["cap_ub_point", "cap_ub_grid", "cap_small_eta", "cap_small_eta_rows"],
+)
+def test_bad_n_add_is_rejected_by_name(call, n_add):
+    with pytest.raises(ValueError, match="n_add"):
+        call(n_add)
 
 
 def test_closed_unit_conversion_anchor():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quduct import filters
 from quduct.capacity import (
     ChannelSpec,
     cap_integrated_closed,
@@ -9,7 +10,8 @@ from quduct.capacity import (
     capacity_contours,
 )
 from quduct.cli import cli_dispatch
-from quduct.registry import bundled_registry_path, contour_csv
+from quduct.filters import filter_report, impulse_response
+from quduct.registry import bundled_registry_path, contour_csv, csv_text
 
 EXAMPLE_CFG = str(bundled_registry_path().parent / "example_device.cfg")
 
@@ -179,6 +181,30 @@ def test_zero_duty_is_rejected(capsys, argv):
     assert "duty" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", "--eta", "0.4", "--n-add", "nan"),
+        ("capacity", "--grid-throughput-hz", "1:10:2", "--grid-n-add=-1:1.5:3"),
+    ],
+    ids=["point-nan", "throughput-grid-negative"],
+)
+def test_capacity_bad_n_add_writes_nothing(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "n_add" in err
+
+
+def test_capacity_throughput_grid_zero_above_unit_noise(capsys):
+    code, out, _ = run(
+        capsys, "capacity", "--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:1.5:3",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows if row[1] == "1.5"] == ["0.0", "0.0"]
+
+
 def test_filter_analysis_preset(capsys):
     code, out, _ = run(capsys, "filter-analysis", "--preset", "paper")
     assert code == 0
@@ -199,6 +225,37 @@ def test_filter_analysis_explicit_notch(tmp_path, capsys):
     assert trace.exists()
     header = trace.read_text().splitlines()[0]
     assert header == "t_s,energy_density"
+
+
+def test_filter_analysis_preset_needs_sixteen_points_per_notch(capsys):
+    code, out, err = run(capsys, "filter-analysis", "--preset", "paper", "--n-points", "16384")
+    assert code == 1
+    assert out == ""
+    assert "fewer than 16 grid points" in err
+
+
+def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch):
+    responses = []
+
+    def counted(*args, **kwargs):
+        responses.append(impulse_response(*args, **kwargs))
+        return responses[-1]
+
+    monkeypatch.setattr(filters, "impulse_response", counted)
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run(
+        capsys, "filter-analysis", "--linewidth-hz", "21700", "--notch", "4000:6000",
+        "--n-points", "65536", "--trace", str(trace),
+    )
+    assert code == 0
+    assert len(responses) == 1
+    (response,) = responses
+    report = filter_report(response, 3.0 / (2 * np.pi * 21700))
+    assert f"eta_total={report.eta_total!r}" in out.splitlines()
+    with open(trace, newline="") as fh:
+        assert fh.read() == csv_text(
+            ["t_s", "energy_density"], zip(response.times_s, response.energy_density)
+        )
 
 
 def test_fit_occupancy_cli(tmp_path, capsys):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from quduct import filters
 from quduct.filters import (
     FilterSpec,
     PRESET_LINEWIDTH_HZ,
+    _notch_bins,
     analyze_filter,
+    filter_report,
     impulse_response,
     scaled_preset_spec,
     tuned_preset,
@@ -152,3 +155,63 @@ def test_preset_report_in_published_ranges():
     assert 0.89 <= report.eta_temporal <= 0.93
     assert 0.84 <= report.eta_total <= 0.88
     assert 0.06 <= report.tail_noise_photons <= 0.12
+
+
+def test_tuner_steps_match_the_fft_route(monkeypatch):
+    # each bisection step reads eta_notch from the spectrum; by Parseval's
+    # theorem it is the value a full FFT analysis of the same spec gives
+    steps = []
+    spectral = filters._spectral_eta_notch
+
+    def recorded(spec, span, power):
+        steps.append((spec, spectral(spec, span, power)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(filters, "_spectral_eta_notch", recorded)
+    tuned = tuned_preset()
+    assert len(steps) == 9
+    assert tuned is steps[-1][0]
+    for spec, eta_notch in steps:
+        assert abs(eta_notch - analyze_filter(spec).eta_notch) <= 1e-12, spec.notches
+
+
+def test_tuned_preset_notches():
+    assert tuned_preset().notches == (
+        (-9556.3671875, -8443.6328125),
+        (4165.44921875, 5834.55078125),
+    )
+
+
+def test_tuned_preset_checks_every_candidate():
+    with pytest.raises(ValueError, match="fewer than 16 grid points"):
+        tuned_preset(n_points=2**14)
+    with pytest.raises(ValueError, match="linewidths"):
+        tuned_preset(span_hz=10 * PRESET_LINEWIDTH_HZ)
+
+
+@pytest.mark.parametrize(
+    "notch",
+    [(4e3, 6e3), (4000.3, 5010.7), (-5e3, -3.9e3), (-2e6, -1.98e6), (1.99e6, 2e6)],
+)
+def test_notch_runs_match_the_full_grid_formula(notch):
+    # the run of touched bins must hold every bin the full-grid formula
+    # attenuates, the span edges included
+    span, n = 4e6, 2**16
+    spec = FilterSpec(linewidth_hz=LINEWIDTH, notches=(notch,))
+    df = span / n
+    f = (np.arange(n) - n // 2) * df
+    lo, hi = notch
+    full = np.clip((np.minimum(f + 0.5 * df, hi) - np.maximum(f - 0.5 * df, lo)) / df, 0, 1)
+    ((first, covered),) = _notch_bins(spec, span, n)
+    run = np.zeros(n)
+    run[first:first + covered.size] = covered
+    assert run.tolist() == full.tolist()
+
+
+def test_report_of_a_response_matches_analyze_filter():
+    spec = scaled_preset_spec(1.0)
+    response = impulse_response(spec, n_points=2**18)
+    t_rep = 2.0 / spec.gamma_t
+    assert filter_report(response, t_rep) == analyze_filter(spec, t_rep, n_points=2**18)
+    with pytest.raises(ValueError, match="repetition time"):
+        filter_report(response, 0.0)
