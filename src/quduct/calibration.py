@@ -159,8 +159,7 @@ class ReadoutCalInput:
     """Factors entering the microwave readout-efficiency product.
 
     ``ratio_det`` is the electrical-to-optical detected-noise ratio at
-    the reference stiff-mode frequency (``stiff_mode_hz`` is metadata,
-    not used in the arithmetic).
+    the reference stiff-mode frequency.
     """
 
     xi_o: float
@@ -170,7 +169,6 @@ class ReadoutCalInput:
     kappa_o_ext_over: float  # kappa_o_ext / kappa_o
     gamma_o_over_e: float    # gamma_o / gamma_e
     gain_o_over_e: float     # A_o / A_e
-    stiff_mode_hz: float = 1.275e6
 
     def __post_init__(self):
         for name in READOUT_FACTORS:

@@ -185,7 +185,7 @@ def cap_small_eta_rows(throughputs_hz, n_add):
     return (math.pi * throughput_hz * slopes for throughput_hz in throughputs_hz)
 
 
-def cap_integrated_quadrature(spec: ChannelSpec, n_points: int = 256) -> float:
+def cap_integrated_quadrature(spec: ChannelSpec) -> float:
     """Bandwidth-integrated capacity bound by numerical quadrature.
 
     Integrates the per-frequency bound across the Lorentzian efficiency
@@ -195,13 +195,9 @@ def cap_integrated_quadrature(spec: ChannelSpec, n_points: int = 256) -> float:
     bound is linear in the efficiency, is added analytically.  Composite
     Gauss-Legendre panels (on an arctangent-transformed axis, so the
     integrand stays smooth and bounded) are doubled until the result is
-    stable to 1e-9 relative.
-
-    ``n_points`` sets the starting number of nodes; raises RuntimeError
-    if refinement fails to converge.
+    stable to 1e-9 relative; raises RuntimeError if refinement fails to
+    converge.
     """
-    if n_points < 64:
-        raise ValueError(f"n_points must be at least 64, got {n_points}")
     eta, n_add = spec.eta, spec.n_add
     if n_add >= 1.0 or eta <= 0.0:
         return 0.0
@@ -221,7 +217,7 @@ def cap_integrated_quadrature(spec: ChannelSpec, n_points: int = 256) -> float:
         integrand = _capacity_bound(eta * cos2, np.full_like(theta, n_add)) / cos2
         return float(np.sum(w * integrand))
 
-    panels = max(2, n_points // 32)
+    panels = 8  # 256 nodes to start
     value = _level(panels)
     for _ in range(12):
         panels *= 2

@@ -144,7 +144,6 @@ def _cmd_sweep(args):
             raise ValueError("sweeping both needs --range2-hz for gamma_o")
         gamma_o = _rate_range(args.range2_hz, "--range2-hz")
     spec = optimize.SweepSpec(
-        variable=args.variable.replace("-", "_"),
         gamma_e=gamma_e,
         gamma_o=gamma_o,
         n_samples=args.n,
@@ -253,13 +252,18 @@ def _cmd_contours(args):
 
 def _cmd_filter_analysis(args) -> int:
     if args.preset == "paper":
-        spec = filters.tuned_preset(n_points=args.n_points)
+        for flag, value in (("--linewidth-hz", args.linewidth_hz),
+                            ("--notch", args.notch),
+                            ("--center-hz", args.center_hz)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --preset paper, which fixes it")
+        spec = filters.tuned_preset(span_hz=args.span_hz, n_points=args.n_points)
     else:
         if args.linewidth_hz is None:
             raise ValueError("give --linewidth-hz or --preset paper")
         spec = filters.FilterSpec(
             linewidth_hz=args.linewidth_hz,
-            center_hz=args.center_hz,
+            center_hz=0.0 if args.center_hz is None else args.center_hz,
             notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch or []),
         )
     t_rep = args.t_rep_s if args.t_rep_s is not None else args.t_rep_mult / spec.gamma_t
@@ -310,7 +314,7 @@ def _cmd_fit_spectrum(args):
         f"n_iterations={fit.n_iterations}",
     ]
     if args.efficiency:
-        efficiency = spectra.read_spectrum_csv(args.efficiency, kind=spectra.KIND_EFFICIENCY)
+        efficiency = spectra.read_spectrum_csv(args.efficiency)
         averaged = spectra.averaged_added_noise(spectrum, efficiency, exclude)
         lines += _floats(averaged_value=averaged)
     return lines
@@ -442,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("filter-analysis", _cmd_filter_analysis, "notched-filter transmission and ringing")
     p.add_argument("--preset", choices=["paper"])
     p.add_argument("--linewidth-hz", type=float)
-    p.add_argument("--center-hz", type=float, default=0.0)
+    # no default: the preset rejects it, an explicit filter takes 0.0 without it
+    p.add_argument("--center-hz", type=float)
     p.add_argument("--notch", action="append", help="LOW:HIGH in Hz, repeatable")
     p.add_argument("--t-rep-mult", type=float, default=3.0,
                    help="repetition time in units of 1/Gamma_T")

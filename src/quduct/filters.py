@@ -33,6 +33,7 @@ MIN_NOTCH_SAMPLES = 16
 PRESET_LINEWIDTH_HZ = 21.7e3
 PRESET_NOTCH_GEOMETRY = ((5.0e3, 1.2e3), (-9.0e3, 0.8e3))  # (center offset, width) Hz
 PRESET_ETA_NOTCH = 0.940
+PRESET_TOLERANCE = 2e-4
 PRESET_T_REP_MULTIPLE = 3.0
 
 
@@ -46,8 +47,11 @@ class FilterSpec:
     notches: tuple = ()
 
     def __post_init__(self):
-        if self.linewidth_hz <= 0:
-            raise ValueError("linewidth must be positive")
+        # written so that nan fails
+        if not 0.0 < self.linewidth_hz < math.inf:
+            raise ValueError(f"linewidth_hz must be positive and finite, got {self.linewidth_hz}")
+        if not math.isfinite(self.center_hz):
+            raise ValueError(f"center_hz must be finite, got {self.center_hz}")
         object.__setattr__(
             self, "notches", tuple(ExclusionBands(self.notches).bands)
         )
@@ -205,8 +209,8 @@ def filter_report(response: ImpulseResponse, t_rep_s: float) -> FilterReport:
     pre-window energy = total notched energy, with the tail summed over
     every later repetition window.
     """
-    if t_rep_s <= 0:
-        raise ValueError("repetition time must be positive")
+    if not 0.0 < t_rep_s < math.inf:  # written so that nan fails
+        raise ValueError(f"repetition time t_rep_s must be positive and finite, got {t_rep_s}")
     t = response.times_s
     e = response.energy
     dt = response.dt_s
@@ -225,11 +229,10 @@ def filter_report(response: ImpulseResponse, t_rep_s: float) -> FilterReport:
 
     def cum_at(x: float) -> float:
         position = x / dt
-        j = min(int(position), e_pos.size)
-        frac = position - j
-        if j >= e_pos.size:
+        if position >= e_pos.size:
             return float(cum[-1])
-        return float(cum[j] + frac * e_pos[j])
+        j = int(position)
+        return float(cum[j] + (position - j) * e_pos[j])
 
     positive_total = float(cum[-1])
     in_window = cum_at(t_rep_s)
@@ -262,24 +265,20 @@ def analyze_filter(
     return filter_report(impulse_response(spec, span_hz=span_hz, n_points=n_points), t_rep_s)
 
 
-def scaled_preset_spec(width_scale: float, center_hz: float = 0.0) -> FilterSpec:
-    """Preset filter with both notch widths multiplied by ``width_scale``."""
+def scaled_preset_spec(width_scale: float) -> FilterSpec:
+    """Preset filter, centred at 0, with both notch widths multiplied by
+    ``width_scale``."""
     notches = []
     for offset, width in PRESET_NOTCH_GEOMETRY:
         half = 0.5 * width * width_scale
-        notches.append((center_hz + offset - half, center_hz + offset + half))
-    return FilterSpec(
-        linewidth_hz=PRESET_LINEWIDTH_HZ, center_hz=center_hz, notches=tuple(notches)
-    )
+        notches.append((offset - half, offset + half))
+    return FilterSpec(linewidth_hz=PRESET_LINEWIDTH_HZ, notches=tuple(notches))
 
 
-def tuned_preset(
-    target_eta_notch: float = PRESET_ETA_NOTCH,
-    tolerance: float = 2e-4,
-    span_hz: float | None = None,
-    n_points: int = 2**20,
-) -> FilterSpec:
-    """Auto-tune the preset notch widths so eta_notch hits the target.
+def tuned_preset(span_hz: float | None = None, n_points: int = 2**20) -> FilterSpec:
+    """Auto-tune the preset notch widths so eta_notch is within
+    :data:`PRESET_TOLERANCE` of :data:`PRESET_ETA_NOTCH` on the analysis
+    grid given by ``span_hz`` and ``n_points``.
 
     Bisection on the single width-rescale scalar; eta_notch decreases
     monotonically as the notches widen, so the root is bracketed by
@@ -299,9 +298,9 @@ def tuned_preset(
         mid = 0.5 * (lo + hi)
         spec = scaled_preset_spec(mid)
         eta_notch = _spectral_eta_notch(spec, span, power)
-        if abs(eta_notch - target_eta_notch) <= tolerance:
+        if abs(eta_notch - PRESET_ETA_NOTCH) <= PRESET_TOLERANCE:
             return spec
-        if eta_notch > target_eta_notch:
+        if eta_notch > PRESET_ETA_NOTCH:
             lo = mid
         else:
             hi = mid

@@ -12,6 +12,7 @@ pump power.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,26 +28,26 @@ from .core import (
     bandwidth_hz,
 )
 
-SWEEP_GAMMA_E = "gamma_e"
-SWEEP_GAMMA_O = "gamma_o"
-SWEEP_BOTH = "both"
-
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # objectives equal within this relative spread count as flat
 _FLAT_SPREAD = 1e-12
+
+# golden section stops when the log-axis bracket is this narrow
+_REL_TOL = 1e-6
+# log-spaced points of the coarse scan that brackets the minimum
+_COARSE_POINTS = 60
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep and what to hold fixed.
 
-    ``gamma_e`` and ``gamma_o`` are either a fixed rate (rad/s) or a
-    (low, high) range for the swept axis; which must be which follows
-    from ``variable``.  ``n_samples`` applies per swept axis.
+    ``gamma_e`` and ``gamma_o`` are each either a (low, high) tuple, an
+    axis to sweep, or a fixed rate (rad/s).  At least one must be swept;
+    ``n_samples`` applies per swept axis.
     """
 
-    variable: str
     gamma_e: float | tuple
     gamma_o: float | tuple
     n_samples: int
@@ -54,19 +55,16 @@ class SweepSpec:
     duty: float = 1.0
 
     def __post_init__(self):
-        if self.variable not in (SWEEP_GAMMA_E, SWEEP_GAMMA_O, SWEEP_BOTH):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        for name, swept in (
-            (SWEEP_GAMMA_E, self.gamma_e),
-            (SWEEP_GAMMA_O, self.gamma_o),
-        ):
-            if self.variable in (name, SWEEP_BOTH):
-                if not (isinstance(swept, tuple) and len(swept) == 2 and 0 < swept[0] < swept[1]):
+        for name, axis in (("gamma_e", self.gamma_e), ("gamma_o", self.gamma_o)):
+            if isinstance(axis, tuple):
+                if not (len(axis) == 2 and 0 < axis[0] < axis[1]):
                     raise ValueError(f"{name} needs an increasing positive (low, high) range")
-            elif not (isinstance(swept, (int, float)) and swept > 0):
+            elif not (isinstance(axis, (int, float)) and axis > 0):
                 raise ValueError(f"{name} needs a fixed positive rate")
+        if not (isinstance(self.gamma_e, tuple) or isinstance(self.gamma_o, tuple)):
+            raise ValueError("nothing to sweep: give gamma_e or gamma_o a (low, high) range")
 
 
 @dataclass(frozen=True)
@@ -84,25 +82,21 @@ class TradeoffPoint:
     error: str | None = None
 
 
-def _log_space(lo: float, hi: float, n: int) -> np.ndarray:
-    if n == 1:
-        return np.array([lo])
-    return np.geomspace(lo, hi, n)
+def _axis_values(axis, n: int):
+    """``n`` log-spaced samples of a swept (low, high) axis; a fixed rate as is."""
+    return np.geomspace(*axis, n) if isinstance(axis, tuple) else [axis]
 
 
 def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> list:
-    """Evaluate the selected model over log-spaced operating points."""
-    if spec.variable == SWEEP_BOTH:
-        ge_values = _log_space(*spec.gamma_e, spec.n_samples)
-        go_values = _log_space(*spec.gamma_o, spec.n_samples)
-        pairs = [(ge, go) for ge in ge_values for go in go_values]
-    elif spec.variable == SWEEP_GAMMA_E:
-        pairs = [(ge, spec.gamma_o) for ge in _log_space(*spec.gamma_e, spec.n_samples)]
-    else:
-        pairs = [(spec.gamma_e, go) for go in _log_space(*spec.gamma_o, spec.n_samples)]
+    """Evaluate the selected model over log-spaced operating points.
 
+    Points run over the product of the two axes, gamma_o fastest.
+    """
     points = []
-    for ge, go in pairs:
+    for ge, go in itertools.product(
+        _axis_values(spec.gamma_e, spec.n_samples),
+        _axis_values(spec.gamma_o, spec.n_samples),
+    ):
         op = OperatingPoint(gamma_e=ge, gamma_o=go, duty=spec.duty)
         # apparent efficiency can exceed 1 slightly when the sideband gain
         # does, so the product is formed directly rather than through the
@@ -129,13 +123,13 @@ class OptimumResult:
     flat_objective: bool = False
 
 
-def _golden_min(fn, lo: float, hi: float, rel_tol: float) -> float:
+def _golden_min(fn, lo: float, hi: float) -> float:
     """Golden-section minimum of fn over [lo, hi] on a log axis."""
     a, b = math.log(lo), math.log(hi)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    while (b - a) > rel_tol:
+    while (b - a) > _REL_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -147,13 +141,13 @@ def _golden_min(fn, lo: float, hi: float, rel_tol: float) -> float:
     return math.exp(0.5 * (a + b))
 
 
-def _coarse_scan(fn, lo: float, hi: float, n: int = 60):
-    xs = np.geomspace(lo, hi, n)
+def _coarse_scan(fn, lo: float, hi: float):
+    xs = np.geomspace(lo, hi, _COARSE_POINTS)
     ys = np.array([fn(x) for x in xs])
     return xs, ys
 
 
-def _minimize_log_axis(fn, bracket, rel_tol=1e-6):
+def _minimize_log_axis(fn, bracket):
     """Coarse scan then golden section; flags boundary and flat outcomes."""
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -167,7 +161,7 @@ def _minimize_log_axis(fn, bracket, rel_tol=1e-6):
         return float(xs[0]), False, True
     if k == len(xs) - 1:
         return float(xs[-1]), False, True
-    x_best = _golden_min(fn, float(xs[k - 1]), float(xs[k + 1]), rel_tol)
+    x_best = _golden_min(fn, float(xs[k - 1]), float(xs[k + 1]))
     return x_best, False, False
 
 
@@ -178,7 +172,6 @@ def optimize_up(
     bracket=(2.0 * math.pi * 10.0, 2.0 * math.pi * 1e7),
     model: str = noise.MODEL_LOSSY_UP,
     duty: float = 1.0,
-    rel_tol: float = 1e-6,
 ) -> OptimumResult:
     """Minimise upconversion added noise over the electromechanical rate.
 
@@ -192,7 +185,7 @@ def optimize_up(
         op = OperatingPoint(gamma_e=gamma_e, gamma_o=gamma_o_fixed, duty=duty)
         return noise.evaluate(model, params, op, env).total
 
-    best, flat, boundary = _minimize_log_axis(objective, bracket, rel_tol)
+    best, flat, boundary = _minimize_log_axis(objective, bracket)
     op = OperatingPoint(gamma_e=best, gamma_o=gamma_o_fixed, duty=duty)
     return OptimumResult(
         op=op,
@@ -209,7 +202,6 @@ def optimize_down(
     ratio_bracket=(1e-3, 1e3),
     model: str = noise.MODEL_LOSSY_DOWN,
     duty: float = 1.0,
-    rel_tol: float = 1e-6,
 ) -> OptimumResult:
     """Minimise downconversion added noise over (gamma_o, gamma_e/gamma_o).
 
@@ -217,25 +209,19 @@ def optimize_down(
     inner loop finds the best rate ratio at that gamma_o.  Boundary
     optima on either axis are flagged.
     """
-    inner_state = {}
+    def total(ratio: float, gamma_o: float) -> float:
+        op = OperatingPoint(gamma_e=ratio * gamma_o, gamma_o=gamma_o, duty=duty)
+        return noise.evaluate(model, params, op, env).total
 
     def best_ratio(gamma_o: float):
-        def inner(ratio: float) -> float:
-            op = OperatingPoint(gamma_e=ratio * gamma_o, gamma_o=gamma_o, duty=duty)
-            return noise.evaluate(model, params, op, env).total
-
-        ratio, flat, boundary = _minimize_log_axis(inner, ratio_bracket, rel_tol)
-        inner_state[gamma_o] = (flat, boundary)
-        return ratio, inner(ratio)
+        """(ratio, flat, boundary) of the inner search at ``gamma_o``."""
+        return _minimize_log_axis(lambda ratio: total(ratio, gamma_o), ratio_bracket)
 
     def outer(gamma_o: float) -> float:
-        return best_ratio(gamma_o)[1]
+        return total(best_ratio(gamma_o)[0], gamma_o)
 
-    gamma_o_best, outer_flat, outer_boundary = _minimize_log_axis(
-        outer, gamma_o_bracket, rel_tol
-    )
-    ratio_best, _ = best_ratio(gamma_o_best)
-    inner_flat, inner_boundary = inner_state[gamma_o_best]
+    gamma_o_best, outer_flat, outer_boundary = _minimize_log_axis(outer, gamma_o_bracket)
+    ratio_best, inner_flat, inner_boundary = best_ratio(gamma_o_best)
     op = OperatingPoint(
         gamma_e=ratio_best * gamma_o_best, gamma_o=gamma_o_best, duty=duty
     )

@@ -188,15 +188,14 @@ def emit_comparison(
     direction: str = "up",
     live_points=(),
     throughput_range_hz=(1e-2, 1e5),
-    n_add_range=(1e-3, 0.999),
-    n_samples: int = 512,
 ) -> dict:
     """Write the figure-data bundle: scatter CSV plus contour CSV.
 
     ``live_points`` are extra DeviceRecords computed on the fly from a
     config (rather than tabulated) and are appended to the scatter.
-    Empty ``levels`` produce a scatter-only bundle.  Returns the mapping
-    of artifact name to written path.
+    Empty ``levels`` produce a scatter-only bundle; contours are drawn
+    with the defaults of :func:`contour_csv`.  Returns the mapping of
+    artifact name to written path.
     """
     if not records and not live_points:
         raise ValueError("nothing to emit: registry and live points both empty")
@@ -211,8 +210,6 @@ def emit_comparison(
 
     if levels:
         contour_path = out_dir / f"contours_{direction}.csv"
-        contour_path.write_text(
-            contour_csv(levels, throughput_range_hz, n_add_range, n_samples)
-        )
+        contour_path.write_text(contour_csv(levels, throughput_range_hz))
         written["contours"] = contour_path
     return written

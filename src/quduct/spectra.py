@@ -19,13 +19,14 @@ import numpy as np
 
 from .registry import write_csv
 
-KIND_EFFICIENCY = "efficiency"
-KIND_OUTPUT_NOISE = "output_noise"
-KIND_INPUT_REFERRED = "input_referred_noise"
-
 # Points where the efficiency falls below peak * this fraction are masked
 # out of input referral instead of being divided by.
-DEFAULT_MASK_FRACTION = 1e-3
+MASK_FRACTION = 1e-3
+
+# The Lorentzian fit converges at this relative gradient norm, or stops
+# after this many iterations.
+FIT_GRAD_TOL = 1e-9
+FIT_MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class Spectrum:
 
     grid: FrequencyGrid
     values: np.ndarray
-    kind: str
     mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -176,7 +176,7 @@ def efficiency_lineshape(
         raise ValueError("bandwidth must be positive")
     f = grid.frequencies()
     values = eta_peak / (1.0 + ((f - center_hz) / bandwidth_hz) ** 2)
-    return Spectrum(grid, values, KIND_EFFICIENCY)
+    return Spectrum(grid, values)
 
 
 def synth_output_noise(components, floor: float, grid: FrequencyGrid) -> Spectrum:
@@ -196,23 +196,19 @@ def synth_output_noise(components, floor: float, grid: FrequencyGrid) -> Spectru
             "synthesised spectrum dipped below zero and was clamped", stacklevel=2
         )
         values = np.maximum(values, 0.0)
-    return Spectrum(grid, values, KIND_OUTPUT_NOISE)
+    return Spectrum(grid, values)
 
 
-def input_refer(
-    output_noise: Spectrum,
-    efficiency: Spectrum,
-    mask_fraction: float = DEFAULT_MASK_FRACTION,
-) -> Spectrum:
+def input_refer(output_noise: Spectrum, efficiency: Spectrum) -> Spectrum:
     """Refer an output spectrum to the input: pointwise noise / efficiency.
 
-    Points where the efficiency is below ``mask_fraction`` of its peak
-    are masked rather than divided, so band edges do not blow up.
+    Points where the efficiency is below :data:`MASK_FRACTION` of its
+    peak are masked rather than divided, so band edges do not blow up.
     """
     if output_noise.grid != efficiency.grid:
         raise ValueError("output and efficiency spectra must share a grid")
     eff = efficiency.values
-    threshold = mask_fraction * float(np.max(eff)) if eff.size else 0.0
+    threshold = MASK_FRACTION * float(np.max(eff)) if eff.size else 0.0
     valid = (
         output_noise.valid_mask()
         & efficiency.valid_mask()
@@ -222,7 +218,7 @@ def input_refer(
         raise ValueError("input referral masked every point")
     values = np.zeros_like(eff)
     values[valid] = output_noise.values[valid] / eff[valid]
-    return Spectrum(output_noise.grid, values, KIND_INPUT_REFERRED, mask=valid)
+    return Spectrum(output_noise.grid, values, mask=valid)
 
 
 def _initial_fit(f: np.ndarray, y: np.ndarray) -> LorentzianFit:
@@ -248,16 +244,15 @@ def fit_lorentzian(
     spectrum: Spectrum,
     exclude: ExclusionBands | None = None,
     init: LorentzianFit | None = None,
-    grad_tol: float = 1e-9,
-    max_iterations: int = 500,
 ) -> LorentzianFit:
     """Least-squares fit of floor + Lorentzian, skipping excluded bands.
 
     Damped (Levenberg-style) least squares with the analytic Jacobian of
     the four-parameter model; initialised from the peak location/height
     and the half-height crossings unless ``init`` is given.  Convergence
-    is declared at relative gradient norm ``grad_tol``; hitting
-    ``max_iterations`` returns the best iterate with converged=False.
+    is declared at relative gradient norm :data:`FIT_GRAD_TOL`; hitting
+    :data:`FIT_MAX_ITERATIONS` returns the best iterate with
+    converged=False.
     """
     f = spectrum.grid.frequencies()
     keep = spectrum.valid_mask()
@@ -292,10 +287,10 @@ def fit_lorentzian(
     cost = float(r @ r)
     n_iter = 0
     converged = False
-    for n_iter in range(1, max_iterations + 1):
+    for n_iter in range(1, FIT_MAX_ITERATIONS + 1):
         grad = jac.T @ r
         scale = max(cost, float(np.abs(y).max()) ** 2, 1e-300)
-        if np.max(np.abs(grad)) <= grad_tol * scale:
+        if np.max(np.abs(grad)) <= FIT_GRAD_TOL * scale:
             converged = True
             break
         jtj = jac.T @ jac
@@ -336,7 +331,7 @@ def fit_lorentzian(
 SPECTRUM_CSV_HEADER = ["freq_hz", "value"]
 
 
-def read_spectrum_csv(path, kind: str = KIND_OUTPUT_NOISE) -> Spectrum:
+def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum from CSV (header ``freq_hz,value``).
 
     Rows must form a uniform, strictly increasing frequency grid.
@@ -365,7 +360,7 @@ def read_spectrum_csv(path, kind: str = KIND_OUTPUT_NOISE) -> Spectrum:
     if np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
         raise ValueError("frequency grid is not uniform")
     grid = FrequencyGrid(float(freqs[0]), float(freqs[-1]), len(freqs))
-    return Spectrum(grid, np.asarray(values), kind)
+    return Spectrum(grid, np.asarray(values))
 
 
 def write_spectrum_csv(spectrum: Spectrum, path):

@@ -120,11 +120,6 @@ def test_quadrature_against_external_integrator():
         assert cap_integrated_quadrature(spec) == pytest.approx(2.0 * val, rel=1e-7)
 
 
-def test_quadrature_rejects_small_n_points():
-    with pytest.raises(ValueError):
-        cap_integrated_quadrature(ChannelSpec(0.5, 0.1, 1e3), n_points=32)
-
-
 def test_quadrature_zero_efficiency():
     assert cap_integrated_quadrature(ChannelSpec(0.0, 0.1, 1e3)) == 0.0
 

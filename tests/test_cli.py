@@ -234,6 +234,44 @@ def test_filter_analysis_preset_needs_sixteen_points_per_notch(capsys):
     assert "fewer than 16 grid points" in err
 
 
+def test_filter_analysis_preset_tunes_on_the_given_span(capsys):
+    code, out, _ = run(capsys, "filter-analysis", "--preset", "paper", "--span-hz", "1.2e6")
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines() if "=" in line)
+    notches = "-9552.48046875:-8447.51953125;4171.279296875:5828.720703125"
+    assert values["notches"] == notches
+    assert abs(float(values["eta_notch"]) - filters.PRESET_ETA_NOTCH) <= filters.PRESET_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--linewidth-hz", "20000"), ("--notch", "4000:6000"), ("--center-hz", "0")]
+)
+def test_filter_analysis_preset_rejects_filter_flags(capsys, flag, value):
+    code, out, err = run(capsys, "filter-analysis", "--preset", "paper", flag, value)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("--linewidth-hz", "21700", "--t-rep-s", "inf"), "t_rep_s"),
+        (("--linewidth-hz", "21700", "--t-rep-s", "nan"), "t_rep_s"),
+        (("--linewidth-hz", "21700", "--t-rep-mult", "nan"), "t_rep_s"),
+        (("--linewidth-hz", "nan"), "linewidth_hz"),
+        (("--linewidth-hz", "inf"), "linewidth_hz"),
+        (("--linewidth-hz", "21700", "--center-hz", "nan"), "center_hz"),
+    ],
+)
+def test_filter_analysis_nonfinite_input_writes_nothing(capsys, argv, name):
+    code, out, err = run(capsys, "filter-analysis", "--n-points", "65536", *argv)
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
 def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch):
     responses = []
 
@@ -352,7 +390,7 @@ def test_fit_spectrum_cli(tmp_path, capsys):
     contaminated = synth_output_noise([comp], floor=0.05, grid=grid)
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(
-        type(contaminated)(grid, values, contaminated.kind), path
+        type(contaminated)(grid, values), path
     )
     code, out, _ = run(
         capsys, "fit-spectrum", "--spectrum", str(path),

@@ -215,3 +215,44 @@ def test_report_of_a_response_matches_analyze_filter():
     assert filter_report(response, t_rep) == analyze_filter(spec, t_rep, n_points=2**18)
     with pytest.raises(ValueError, match="repetition time"):
         filter_report(response, 0.0)
+
+
+def test_tuned_preset_on_a_given_span():
+    spec = tuned_preset(span_hz=1.2e6)
+    assert spec.notches == (
+        (-9552.48046875, -8447.51953125),
+        (4171.279296875, 5828.720703125),
+    )
+    report = analyze_filter(spec, span_hz=1.2e6)
+    assert abs(report.eta_notch - filters.PRESET_ETA_NOTCH) <= filters.PRESET_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"linewidth_hz": math.nan}, "linewidth_hz"),
+        ({"linewidth_hz": math.inf}, "linewidth_hz"),
+        ({"linewidth_hz": 0.0}, "linewidth_hz"),
+        ({"linewidth_hz": 1e3, "center_hz": math.nan}, "center_hz"),
+        ({"linewidth_hz": 1e3, "center_hz": -math.inf}, "center_hz"),
+    ],
+)
+def test_filter_spec_rejects_bad_fields_by_name(fields, name):
+    with pytest.raises(ValueError, match=name):
+        FilterSpec(**fields)
+
+
+@pytest.mark.parametrize("t_rep_s", [math.nan, math.inf, -1e-6])
+def test_report_rejects_bad_repetition_time_by_name(t_rep_s):
+    response = impulse_response(FilterSpec(linewidth_hz=LINEWIDTH), n_points=2**14)
+    with pytest.raises(ValueError, match="t_rep_s"):
+        filter_report(response, t_rep_s)
+
+
+def test_report_at_a_huge_repetition_time_keeps_everything():
+    # windows past the end of the grid hold all the positive-time energy
+    response = impulse_response(FilterSpec(linewidth_hz=LINEWIDTH), n_points=2**14)
+    report = filter_report(response, 1e308)  # 2 * t_rep_s overflows to inf
+    assert report.tail_noise_photons == 0.0
+    assert report.tail_first_window_photons == 0.0
+    assert report.eta_temporal + report.pre_window_energy / report.eta_notch == pytest.approx(1.0)

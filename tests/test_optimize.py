@@ -145,7 +145,6 @@ def test_optimize_down_flat_objective():
 def test_sweep_u_shape_and_rederivability():
     params = clean_params()
     spec = optimize.SweepSpec(
-        variable=optimize.SWEEP_GAMMA_E,
         gamma_e=(rate_from_hz(300.0), rate_from_hz(3e6)),
         gamma_o=rate_from_hz(11e3),
         n_samples=60,
@@ -168,7 +167,6 @@ def test_sweep_u_shape_and_rederivability():
 def test_sweep_minimum_near_stationarity_point():
     points = optimize.sweep(
         optimize.SweepSpec(
-            variable=optimize.SWEEP_GAMMA_E,
             gamma_e=(rate_from_hz(1e3), rate_from_hz(1e6)),
             gamma_o=rate_from_hz(11e3),
             n_samples=400,
@@ -186,7 +184,6 @@ def test_sweep_matched_lossless_efficiency_is_unity():
     env = NoiseEnvironment(n_th_gamma_m=1.0)
     points = optimize.sweep(
         optimize.SweepSpec(
-            variable=optimize.SWEEP_GAMMA_E,
             gamma_e=(1e3, 1e3 + 1e-6),
             gamma_o=1e3,
             n_samples=1,
@@ -205,7 +202,6 @@ def test_sweep_matched_lossless_efficiency_is_unity():
 def test_sweep_single_sample_equals_direct_evaluation():
     params = clean_params()
     spec = optimize.SweepSpec(
-        variable=optimize.SWEEP_GAMMA_O,
         gamma_e=rate_from_hz(8e3),
         gamma_o=(rate_from_hz(11e3), rate_from_hz(12e3)),
         n_samples=1,
@@ -224,7 +220,6 @@ def test_sweep_collects_per_point_failures():
     env = NoiseEnvironment(n_th_gamma_m=1e3, a_e=-1e-7, b_e=0.2)
     points = optimize.sweep(
         optimize.SweepSpec(
-            variable=optimize.SWEEP_GAMMA_E,
             gamma_e=(1e4, 1e9),
             gamma_o=1e4,
             n_samples=30,
@@ -241,7 +236,6 @@ def test_sweep_collects_per_point_failures():
 
 def test_sweep_both_grid():
     spec = optimize.SweepSpec(
-        variable=optimize.SWEEP_BOTH,
         gamma_e=(1e3, 1e5),
         gamma_o=(1e3, 1e5),
         n_samples=5,
@@ -251,14 +245,31 @@ def test_sweep_both_grid():
     assert len(points) == 25
 
 
+@pytest.mark.parametrize(
+    "gamma_e, gamma_o",
+    [((1e3, 1e5), 2e4), (2e4, (1e3, 1e5)), ((1e3, 1e5), (3e3, 3e4))],
+    ids=["range-fixed", "fixed-range", "range-range"],
+)
+def test_sweep_runs_gamma_e_major(gamma_e, gamma_o):
+    spec = optimize.SweepSpec(
+        gamma_e=gamma_e,
+        gamma_o=gamma_o,
+        n_samples=4,
+        model=noise.MODEL_IDEAL_DOWN,
+    )
+
+    def axis(value):
+        return list(np.geomspace(*value, 4)) if isinstance(value, tuple) else [value]
+
+    points = optimize.sweep(spec, clean_params(), CAL_ENV)
+    expected = [(ge, go) for ge in axis(gamma_e) for go in axis(gamma_o)]
+    assert [(p.op.gamma_e, p.op.gamma_o) for p in points] == expected
+
+
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        optimize.SweepSpec(
-            variable="gamma_e", gamma_e=1e3, gamma_o=1e3, n_samples=5
-        )  # swept axis needs a range
-    with pytest.raises(ValueError):
-        optimize.SweepSpec(
-            variable="gamma_e", gamma_e=(1e3, 1e4), gamma_o=(1.0, 2.0), n_samples=5
-        )  # fixed axis needs a number
-    with pytest.raises(ValueError):
-        optimize.SweepSpec(variable="nope", gamma_e=(1, 2), gamma_o=1.0, n_samples=5)
+    with pytest.raises(ValueError, match="nothing to sweep"):
+        optimize.SweepSpec(gamma_e=1e3, gamma_o=1e3, n_samples=5)  # no axis has a range
+    with pytest.raises(ValueError, match="gamma_o needs a fixed positive rate"):
+        optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o="1e3", n_samples=5)  # a number
+    with pytest.raises(ValueError, match="gamma_e needs an increasing positive"):
+        optimize.SweepSpec(gamma_e=(1e4, 1e3), gamma_o=1.0, n_samples=5)

@@ -4,8 +4,6 @@ import pytest
 from quduct.spectra import (
     ExclusionBands,
     FrequencyGrid,
-    KIND_EFFICIENCY,
-    KIND_OUTPUT_NOISE,
     LorentzComponent,
     LorentzianFit,
     Spectrum,
@@ -39,7 +37,6 @@ def test_lineshape_peak_and_half_width():
     assert at_hwhm == pytest.approx(0.2)
     idx = np.argmin(np.abs(f - (CENTER + bw)))
     assert spec.values[idx] == pytest.approx(0.2, rel=1e-3)
-    assert spec.kind == KIND_EFFICIENCY
 
 
 def test_exclusion_bands_merge_and_query():
@@ -92,7 +89,7 @@ def test_synth_clamps_with_warning():
 
 def test_input_refer_ratio_identity():
     eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
-    noise = Spectrum(GRID, eff.values.copy(), KIND_OUTPUT_NOISE)
+    noise = Spectrum(GRID, eff.values.copy())
     referred = input_refer(noise, eff)
     valid = referred.valid_mask()
     assert valid.sum() > 0
@@ -102,7 +99,7 @@ def test_input_refer_ratio_identity():
 def test_input_refer_proportional_lorentzians_are_flat():
     # output noise = 2.6 * efficiency lineshape -> flat 2.6 when referred
     eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
-    noise = Spectrum(GRID, 2.6 * eff.values, KIND_OUTPUT_NOISE)
+    noise = Spectrum(GRID, 2.6 * eff.values)
     referred = input_refer(noise, eff)
     valid = referred.valid_mask()
     assert np.allclose(referred.values[valid], 2.6, rtol=1e-12)
@@ -111,7 +108,7 @@ def test_input_refer_proportional_lorentzians_are_flat():
 def test_input_refer_masks_band_edges():
     wide = FrequencyGrid(CENTER - 5e6, CENTER + 5e6, 4001)
     eff = efficiency_lineshape(0.4, 11e3, wide, CENTER)
-    noise = Spectrum(wide, np.ones(wide.n_points), KIND_OUTPUT_NOISE)
+    noise = Spectrum(wide, np.ones(wide.n_points))
     referred = input_refer(noise, eff)
     masked_count = int((~referred.valid_mask()).sum())
     assert masked_count > 0
@@ -121,7 +118,7 @@ def test_input_refer_masks_band_edges():
 def test_input_refer_grid_mismatch():
     other = FrequencyGrid(0.0, 1.0, 10)
     eff = efficiency_lineshape(0.4, 0.1, other, 0.5)
-    noise = Spectrum(GRID, np.ones(GRID.n_points), KIND_OUTPUT_NOISE)
+    noise = Spectrum(GRID, np.ones(GRID.n_points))
     with pytest.raises(ValueError, match="grid"):
         input_refer(noise, eff)
 
@@ -150,7 +147,7 @@ def test_fit_with_excluded_spike():
     zone = (f >= CENTER + 4e3) & (f <= CENTER + 6e3)
     values = base.values.copy()
     values[zone] += 30.0 / (1.0 + ((f[zone] - (CENTER + 5e3)) / 150.0) ** 2)
-    spec = Spectrum(GRID, values, KIND_OUTPUT_NOISE)
+    spec = Spectrum(GRID, values)
     exclude = ExclusionBands([(CENTER + 4e3, CENTER + 6e3)])
     fit = fit_lorentzian(spec, exclude)
     assert fit.fwhm_hz == pytest.approx(9e3, rel=1e-6)
@@ -164,7 +161,7 @@ def test_fit_with_excluded_spike():
 def test_fit_round_trip_idempotent():
     spec = _noise_spectrum()
     fit1 = fit_lorentzian(spec, ExclusionBands())
-    resynth = Spectrum(GRID, fit1.evaluate(GRID.frequencies()), KIND_OUTPUT_NOISE)
+    resynth = Spectrum(GRID, fit1.evaluate(GRID.frequencies()))
     fit2 = fit_lorentzian(resynth, ExclusionBands())
     assert fit2.center_hz == pytest.approx(fit1.center_hz, abs=1.0)
     assert fit2.fwhm_hz == pytest.approx(fit1.fwhm_hz, rel=1e-6)
@@ -173,7 +170,7 @@ def test_fit_round_trip_idempotent():
 
 def test_fit_needs_enough_points():
     grid = FrequencyGrid(0.0, 1.0, 12)
-    spec = Spectrum(grid, np.ones(12), KIND_OUTPUT_NOISE)
+    spec = Spectrum(grid, np.ones(12))
     with pytest.raises(ValueError, match="at least 8"):
         fit_lorentzian(spec, ExclusionBands([(0.0, 0.9)]))
 
@@ -187,7 +184,7 @@ def test_fit_accepts_initial_guess():
 
 def test_averaged_constant_noise():
     eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
-    flat = Spectrum(GRID, np.full(GRID.n_points, 2.6), KIND_OUTPUT_NOISE)
+    flat = Spectrum(GRID, np.full(GRID.n_points, 2.6))
     assert averaged_added_noise(flat, eff) == pytest.approx(2.6, rel=1e-12)
 
 
@@ -197,7 +194,7 @@ def test_averaged_excludes_spike():
     f = GRID.frequencies()
     spike_zone = (f > CENTER + 4e3) & (f < CENTER + 6e3)
     values[spike_zone] += 50.0
-    spec = Spectrum(GRID, values, KIND_OUTPUT_NOISE)
+    spec = Spectrum(GRID, values)
     exclude = ExclusionBands([(CENTER + 4e3, CENTER + 6e3)])
     assert averaged_added_noise(spec, eff, exclude) == pytest.approx(2.6, rel=1e-12)
     assert averaged_added_noise(spec, eff) > 2.6
@@ -206,7 +203,7 @@ def test_averaged_excludes_spike():
 def test_averaged_symmetric_half_exclusion():
     eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
     f = GRID.frequencies()
-    symmetric = Spectrum(GRID, 1.0 + ((f - CENTER) / 50e3) ** 2, KIND_OUTPUT_NOISE)
+    symmetric = Spectrum(GRID, 1.0 + ((f - CENTER) / 50e3) ** 2)
     full = averaged_added_noise(symmetric, eff)
     half = averaged_added_noise(
         symmetric, eff, ExclusionBands([(CENTER, GRID.stop_hz + 1.0)])
@@ -216,7 +213,7 @@ def test_averaged_symmetric_half_exclusion():
 
 def test_averaged_invariant_under_efficiency_rescale():
     eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
-    scaled = Spectrum(GRID, 7.3 * eff.values, KIND_EFFICIENCY)
+    scaled = Spectrum(GRID, 7.3 * eff.values)
     spec = _noise_spectrum()
     assert averaged_added_noise(spec, eff) == pytest.approx(
         averaged_added_noise(spec, scaled), rel=1e-13
@@ -239,7 +236,7 @@ def test_averaged_trapezoid_second_order_convergence():
         eff = efficiency_lineshape(0.4, 11e3, grid, CENTER)
         # the phase offset keeps the integrand asymmetric about the peak,
         # so trapezoid errors cannot cancel by symmetry
-        smooth = Spectrum(grid, 2.0 + np.sin((f - CENTER) / 2e4 + 0.7), KIND_OUTPUT_NOISE)
+        smooth = Spectrum(grid, 2.0 + np.sin((f - CENTER) / 2e4 + 0.7))
         return averaged_added_noise(smooth, eff)
 
     reference = weighted_mean(4 * 4096 + 1)
@@ -250,7 +247,7 @@ def test_averaged_trapezoid_second_order_convergence():
 
 def test_input_refer_of_scaled_synth_is_constant():
     eff = efficiency_lineshape(0.5, 8e3, GRID, CENTER)
-    noise = Spectrum(GRID, eff.values * 3.7, KIND_OUTPUT_NOISE)
+    noise = Spectrum(GRID, eff.values * 3.7)
     referred = input_refer(noise, eff)
     valid = referred.valid_mask()
     assert np.allclose(referred.values[valid], 3.7, rtol=1e-12)
