@@ -128,20 +128,6 @@ def load_occupancy_records(path) -> list:
     return records
 
 
-def intracavity_photons(
-    gamma_e: AngularRate, g_e: AngularRate, kappa_e: AngularRate
-) -> float:
-    """Microwave intracavity photon number sustaining ``gamma_e``.
-
-    Inverts gamma_e = 4 g_e^2 n_circ / kappa_e.
-    """
-    if g_e <= 0:
-        raise ValueError("single-photon coupling must be positive")
-    if kappa_e <= 0:
-        raise ValueError("kappa_e must be positive")
-    return gamma_e * kappa_e / (4.0 * g_e**2)
-
-
 # The seven factors of the readout-efficiency product, in product order.
 READOUT_FACTORS = (
     "xi_o",

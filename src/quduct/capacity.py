@@ -78,11 +78,6 @@ class ChannelSpec:
     def throughput_hz(self) -> float:
         return self.eta * self.bandwidth_hz * self.duty
 
-    @property
-    def quantum_enabled(self) -> bool:
-        """Whether the channel can have nonzero quantum capacity (noise < 1)."""
-        return self.n_add < 1.0
-
 
 def cap_ub_point(eta: float, n_add: float) -> float:
     """Capacity upper bound in qubits per channel use at one frequency.
@@ -132,11 +127,10 @@ def cap_integrated_closed(spec: ChannelSpec) -> float:
     eta -> 1 are taken analytically.
     """
     eta, n_add = spec.eta, spec.n_add
-    scale = spec.duty * TWO_PI * spec.bandwidth_hz / LN2
     if n_add >= 1.0 or eta <= 0.0:
         return 0.0
     if 1.0 - eta < 1e-14:
-        return scale * (1.0 - math.sqrt(n_add)) ** 2
+        return cap_integrated_high_eta_limit(n_add, spec.bandwidth_hz, spec.duty)
     s = math.sqrt(1.0 - eta)
     m = math.sqrt(1.0 - eta * (1.0 - n_add))
     bracket = 1.0 - m
@@ -146,7 +140,7 @@ def cap_integrated_closed(spec: ChannelSpec) -> float:
         bracket += (eta * n_add / s) * math.log(
             math.sqrt(n_add) * (1.0 + s) / (s + m)
         )
-    return scale * bracket
+    return spec.duty * TWO_PI * spec.bandwidth_hz / LN2 * bracket
 
 
 def cap_integrated_high_eta_limit(

@@ -75,6 +75,25 @@ def _parse_triplet(text: str, flag: str):
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+def _levels(text: str) -> list:
+    """Comma-separated ``--levels``; empty items are skipped."""
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--levels expects comma-separated numbers, got {text!r}") from None
+
+
+def _reject_given(args, flags, reason: str) -> None:
+    """Fail naming the first of ``flags`` given on the command line.
+
+    A flag counts as given when its value is not None, so only flags
+    without a default can be checked.
+    """
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} {reason}")
+
+
 def _rate_range(text: str, flag: str):
     lo, hi = _parse_pair(text, flag)
     return rate_from_hz(lo), rate_from_hz(hi)
@@ -130,16 +149,20 @@ def _cmd_noise(args):
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     model = _model_for(args.direction, args.model)
+    unused = f"is not used with --variable {args.variable}"
     gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
     if args.variable == "gamma-e":
+        _reject_given(args, ("--gamma-e-hz", "--range2-hz"), unused)
         if args.gamma_o_hz is None:
             raise ValueError("sweeping gamma_e needs --gamma-o-hz")
         gamma_o = rate_from_hz(args.gamma_o_hz)
     elif args.variable == "gamma-o":
+        _reject_given(args, ("--gamma-o-hz", "--range2-hz"), unused)
         if args.gamma_e_hz is None:
             raise ValueError("sweeping gamma_o needs --gamma-e-hz")
         gamma_e = rate_from_hz(args.gamma_e_hz)
     else:
+        _reject_given(args, ("--gamma-e-hz", "--gamma-o-hz"), unused)
         if args.range2_hz is None:
             raise ValueError("sweeping both needs --range2-hz for gamma_o")
         gamma_o = _rate_range(args.range2_hz, "--range2-hz")
@@ -203,6 +226,9 @@ def _cmd_optimize(args):
 
 def _cmd_capacity(args):
     if args.grid_eta or args.grid_throughput_hz:
+        _reject_given(args, ("--eta", "--n-add", "--bandwidth-hz"), "is not used in grid mode")
+        if args.grid_eta:
+            _reject_given(args, ("--grid-throughput-hz",), "cannot be combined with --grid-eta")
         if args.grid_n_add is None:
             raise ValueError("grid mode needs --grid-n-add LOW:HIGH:N")
         n_values = np.linspace(*_parse_triplet(args.grid_n_add, "--grid-n-add"))
@@ -222,6 +248,7 @@ def _cmd_capacity(args):
             for n_add, cap in zip(n_values, caps)
         )
 
+    _reject_given(args, ("--grid-n-add",), "is not used in point mode")
     if args.eta is None or args.n_add is None:
         raise ValueError("point mode needs --eta and --n-add")
     point = cap_ub_point(args.eta, args.n_add)
@@ -243,7 +270,7 @@ def _cmd_capacity(args):
 
 def _cmd_contours(args):
     return registry.contour_csv(
-        [float(x) for x in args.levels.split(",") if x],
+        _levels(args.levels),
         _parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
         _parse_pair(args.n_add_range, "--n-add-range"),
         args.n,
@@ -252,11 +279,8 @@ def _cmd_contours(args):
 
 def _cmd_filter_analysis(args) -> int:
     if args.preset == "paper":
-        for flag, value in (("--linewidth-hz", args.linewidth_hz),
-                            ("--notch", args.notch),
-                            ("--center-hz", args.center_hz)):
-            if value is not None:
-                raise ValueError(f"{flag} cannot be combined with --preset paper, which fixes it")
+        _reject_given(args, ("--linewidth-hz", "--notch", "--center-hz"),
+                      "cannot be combined with --preset paper, which fixes it")
         spec = filters.tuned_preset(span_hz=args.span_hz, n_points=args.n_points)
     else:
         if args.linewidth_hz is None:
@@ -267,6 +291,7 @@ def _cmd_filter_analysis(args) -> int:
             notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch or []),
         )
     t_rep = args.t_rep_s if args.t_rep_s is not None else args.t_rep_mult / spec.gamma_t
+    filters.check_t_rep(t_rep)  # before the FFTs, which take most of the run
     # one response serves both the report and the trace
     response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
     report = filters.filter_report(response, t_rep)
@@ -364,9 +389,8 @@ def _cmd_compare(args):
                 source="live",
                 notes="computed from config",
             ))
-    levels = [float(x) for x in args.levels.split(",")] if args.levels else []
     written = registry.emit_comparison(
-        records, levels, args.out_dir,
+        records, _levels(args.levels or ""), args.out_dir,
         direction=args.direction, live_points=live,
         throughput_range_hz=_parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
     )

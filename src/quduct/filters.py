@@ -79,9 +79,6 @@ class ImpulseResponse:
     def energy_density(self) -> np.ndarray:
         return self.energy / self.dt_s
 
-    def total(self) -> float:
-        return float(self.energy.sum())
-
 
 @dataclass(frozen=True)
 class FilterReport:
@@ -202,6 +199,12 @@ def impulse_response(
     return ImpulseResponse(times_s=times[order], energy=energy[order], dt_s=dt)
 
 
+def check_t_rep(t_rep_s: float) -> None:
+    """Fail naming ``t_rep_s`` unless it is a positive, finite repetition time."""
+    if not 0.0 < t_rep_s < math.inf:  # written so that nan fails
+        raise ValueError(f"repetition time t_rep_s must be positive and finite, got {t_rep_s}")
+
+
 def filter_report(response: ImpulseResponse, t_rep_s: float) -> FilterReport:
     """Spectral, temporal, and leakage figures of ``response`` at ``t_rep_s``.
 
@@ -209,8 +212,7 @@ def filter_report(response: ImpulseResponse, t_rep_s: float) -> FilterReport:
     pre-window energy = total notched energy, with the tail summed over
     every later repetition window.
     """
-    if not 0.0 < t_rep_s < math.inf:  # written so that nan fails
-        raise ValueError(f"repetition time t_rep_s must be positive and finite, got {t_rep_s}")
+    check_t_rep(t_rep_s)
     t = response.times_s
     e = response.energy
     dt = response.dt_s

@@ -159,13 +159,6 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def write_registry(records, path):
-    rows = ((r.label, r.direction, r.n_add, r.eta, r.bandwidth_hz, r.duty, r.source, r.notes)
-            for r in records)
-    with open(path, "w", newline="") as fh:
-        write_csv(fh, REGISTRY_HEADER, rows)
-
-
 def scatter_csv(records, direction: str | None = None) -> str:
     """Scatter CSV text of (throughput, noise) for the requested direction."""
     rows = ((r.throughput_hz, r.n_add, r.label, r.direction)

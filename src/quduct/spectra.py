@@ -1,27 +1,14 @@
-"""Frequency-dependent efficiency, synthetic noise spectra, Lorentzian
-fitting with exclusion bands, and band-averaged added noise.
-
-Lineshape convention: the efficiency Lorentzian is written
-eta(f) = eta_peak / (1 + ((f - f_center) / B)^2), so the ``bandwidth``
-knob B is the half-width at half-maximum in Hz.  The integrated-capacity
-closed form assumes exactly this parametrisation, so consistency with it
-beats the more common FWHM convention.
+"""Measured spectra on a uniform frequency grid: Lorentzian fitting with
+exclusion bands, and band-averaged added noise.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .registry import write_csv
-
-# Points where the efficiency falls below peak * this fraction are masked
-# out of input referral instead of being divided by.
-MASK_FRACTION = 1e-3
 
 # The Lorentzian fit converges at this relative gradient norm, or stops
 # after this many iterations.
@@ -53,34 +40,18 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Values on a frequency grid, with an optional validity mask.
-
-    ``mask`` is True where a point is valid; None means all points are
-    valid.  Values must be finite on valid points.
-    """
+    """Finite values on a frequency grid."""
 
     grid: FrequencyGrid
     values: np.ndarray
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values length does not match the grid")
-        if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=bool)
-            object.__setattr__(self, "mask", mask)
-            if mask.shape != values.shape:
-                raise ValueError("mask length does not match the grid")
-        valid = values if self.mask is None else values[self.mask]
-        if valid.size and not np.all(np.isfinite(valid)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("spectrum has nonfinite values at valid points")
-
-    def valid_mask(self) -> np.ndarray:
-        if self.mask is None:
-            return np.ones(self.grid.n_points, dtype=bool)
-        return self.mask
 
 
 class ExclusionBands:
@@ -101,12 +72,6 @@ class ExclusionBands:
                 merged.append((low, high))
         self.bands = tuple(merged)
 
-    def __iter__(self):
-        return iter(self.bands)
-
-    def __len__(self):
-        return len(self.bands)
-
     def excluded(self, freqs_hz: np.ndarray) -> np.ndarray:
         """Boolean array, True where a frequency falls inside any band."""
         freqs_hz = np.asarray(freqs_hz, dtype=float)
@@ -114,35 +79,6 @@ class ExclusionBands:
         for low, high in self.bands:
             out |= (freqs_hz >= low) & (freqs_hz <= high)
         return out
-
-
-@dataclass(frozen=True)
-class LorentzComponent:
-    """One signed Lorentzian line for spectrum synthesis.
-
-    Give either ``height`` (peak value) or ``area`` (integral of the
-    unit-sign line).  ``sign`` -1 models an interference dip.
-    """
-
-    center_hz: float
-    fwhm_hz: float
-    height: float | None = None
-    area: float | None = None
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.fwhm_hz <= 0:
-            raise ValueError("component width must be positive")
-        if (self.height is None) == (self.area is None):
-            raise ValueError("give exactly one of height or area")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    def peak_height(self) -> float:
-        if self.height is not None:
-            return self.height
-        # unit-area Lorentzian peaks at 2 / (pi * fwhm)
-        return self.area * 2.0 / (math.pi * self.fwhm_hz)
 
 
 @dataclass(frozen=True)
@@ -160,65 +96,6 @@ class LorentzianFit:
     def __post_init__(self):
         if self.fwhm_hz <= 0:
             raise ValueError("fwhm must be positive")
-
-    def evaluate(self, freqs_hz: np.ndarray) -> np.ndarray:
-        u = (np.asarray(freqs_hz, dtype=float) - self.center_hz) / (self.fwhm_hz / 2.0)
-        return self.floor + self.peak_height / (1.0 + u * u)
-
-
-def efficiency_lineshape(
-    eta_peak: float, bandwidth_hz: float, grid: FrequencyGrid, center_hz: float
-) -> Spectrum:
-    """Lorentzian efficiency profile; ``bandwidth_hz`` is the HWHM."""
-    if eta_peak < 0:
-        raise ValueError("peak efficiency must be nonnegative")
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    f = grid.frequencies()
-    values = eta_peak / (1.0 + ((f - center_hz) / bandwidth_hz) ** 2)
-    return Spectrum(grid, values)
-
-
-def synth_output_noise(components, floor: float, grid: FrequencyGrid) -> Spectrum:
-    """Sum of signed Lorentzian components on a constant floor.
-
-    Values are clamped at zero with a warning if the signed sum dips
-    negative (a deeper interference dip than the floor supports).
-    """
-    f = grid.frequencies()
-    values = np.full(grid.n_points, float(floor))
-    for comp in components:
-        hw = comp.fwhm_hz / 2.0
-        u = (f - comp.center_hz) / hw
-        values += comp.sign * comp.peak_height() / (1.0 + u * u)
-    if np.any(values < 0):
-        warnings.warn(
-            "synthesised spectrum dipped below zero and was clamped", stacklevel=2
-        )
-        values = np.maximum(values, 0.0)
-    return Spectrum(grid, values)
-
-
-def input_refer(output_noise: Spectrum, efficiency: Spectrum) -> Spectrum:
-    """Refer an output spectrum to the input: pointwise noise / efficiency.
-
-    Points where the efficiency is below :data:`MASK_FRACTION` of its
-    peak are masked rather than divided, so band edges do not blow up.
-    """
-    if output_noise.grid != efficiency.grid:
-        raise ValueError("output and efficiency spectra must share a grid")
-    eff = efficiency.values
-    threshold = MASK_FRACTION * float(np.max(eff)) if eff.size else 0.0
-    valid = (
-        output_noise.valid_mask()
-        & efficiency.valid_mask()
-        & (eff > threshold)
-    )
-    if not np.any(valid):
-        raise ValueError("input referral masked every point")
-    values = np.zeros_like(eff)
-    values[valid] = output_noise.values[valid] / eff[valid]
-    return Spectrum(output_noise.grid, values, mask=valid)
 
 
 def _initial_fit(f: np.ndarray, y: np.ndarray) -> LorentzianFit:
@@ -255,11 +132,11 @@ def fit_lorentzian(
     converged=False.
     """
     f = spectrum.grid.frequencies()
-    keep = spectrum.valid_mask()
+    y = spectrum.values
     if exclude is not None:
-        keep &= ~exclude.excluded(f)
-    f = f[keep]
-    y = spectrum.values[keep]
+        keep = ~exclude.excluded(f)
+        f = f[keep]
+        y = y[keep]
     if f.size < 8:
         raise ValueError(f"need at least 8 unexcluded points, have {f.size}")
 
@@ -363,28 +240,19 @@ def read_spectrum_csv(path) -> Spectrum:
     return Spectrum(grid, np.asarray(values))
 
 
-def write_spectrum_csv(spectrum: Spectrum, path):
-    """Write a spectrum as CSV with the documented header."""
-    with open(path, "w", newline="") as fh:
-        write_csv(fh, SPECTRUM_CSV_HEADER, zip(spectrum.grid.frequencies(), spectrum.values))
-
-
 def averaged_added_noise(
     n_add: Spectrum, efficiency: Spectrum, exclude: ExclusionBands | None = None
 ) -> float:
     """Efficiency-weighted mean of the added noise over unexcluded points.
 
     Trapezoidal quadrature of n_add * eta and of eta over each contiguous
-    unexcluded run, then the ratio of the two integrals; excluded or
-    masked points break the runs.  Uniform rescaling of the efficiency
-    cancels out.
+    unexcluded run, then the ratio of the two integrals; excluded points
+    break the runs.  Uniform rescaling of the efficiency cancels out.
     """
     if n_add.grid != efficiency.grid:
         raise ValueError("spectra must share a grid")
     f = n_add.grid.frequencies()
-    keep = n_add.valid_mask() & efficiency.valid_mask()
-    if exclude is not None:
-        keep &= ~exclude.excluded(f)
+    keep = np.ones(f.size, dtype=bool) if exclude is None else ~exclude.excluded(f)
     numerator = 0.0
     denominator = 0.0
     h = n_add.grid.spacing_hz

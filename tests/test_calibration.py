@@ -7,7 +7,6 @@ from quduct.calibration import (
     OccupancyRecord,
     ReadoutCalInput,
     fit_occupancy,
-    intracavity_photons,
     load_occupancy_records,
     xi_e,
 )
@@ -129,28 +128,6 @@ def test_load_occupancy_reports_bad_lines(tmp_path):
     )
     with pytest.raises(ValueError, match="line 3.*line 4"):
         load_occupancy_records(path)
-
-
-def test_intracavity_photons_inversion():
-    g_e = rate_from_hz(50.0)
-    kappa_e = rate_from_hz(1.5e6)
-    gamma_e = 4.0 * g_e**2 / kappa_e
-    assert intracavity_photons(gamma_e, g_e, kappa_e) == pytest.approx(1.0, rel=1e-12)
-    assert intracavity_photons(2.0 * gamma_e, g_e, kappa_e) == pytest.approx(2.0)
-    # doubling the coupling quarters the photon number at fixed rate
-    assert intracavity_photons(gamma_e, 2.0 * g_e, kappa_e) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        intracavity_photons(gamma_e, 0.0, kappa_e)
-
-
-def test_intracavity_round_trip():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        g_e, kappa_e, n_circ = rng.uniform(1.0, 1e6, size=3)
-        gamma_e = 4.0 * g_e**2 * n_circ / kappa_e
-        assert intracavity_photons(gamma_e, g_e, kappa_e) == pytest.approx(
-            n_circ, rel=1e-12
-        )
 
 
 def test_xi_e_degenerate_product():

@@ -183,8 +183,6 @@ def test_factor_of_two_sandwich():
 def test_channel_spec_throughput_and_flag():
     spec = ChannelSpec(eta=0.4, n_add=0.5, bandwidth_hz=22e3, duty=0.5)
     assert spec.throughput_hz == pytest.approx(4400.0)
-    assert spec.quantum_enabled
-    assert not ChannelSpec(0.4, 1.0, 22e3).quantum_enabled
 
 
 def test_channel_spec_validation():

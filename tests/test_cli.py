@@ -164,6 +164,32 @@ def test_contours_csv(capsys):
     assert len(out.splitlines()) > 10
 
 
+def _levels_argv(command, out_dir):
+    """A ``contours`` or ``compare`` invocation, less its ``--levels``."""
+    if command == "contours":
+        return ["contours", "--n", "33"]
+    return ["compare", "--direction", "up", "--out-dir", str(out_dir)]
+
+
+@pytest.mark.parametrize("command", ["contours", "compare"])
+def test_levels_skip_empty_items(tmp_path, capsys, command):
+    results = []
+    for levels in ("100", "100,"):
+        code, out, _ = run(capsys, *_levels_argv(command, tmp_path), "--levels", levels)
+        assert code == 0
+        results.append((out, sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command", ["contours", "compare"])
+def test_levels_reject_a_non_number_by_flag(tmp_path, capsys, command):
+    code, out, err = run(capsys, *_levels_argv(command, tmp_path), "--levels", "100,x")
+    assert code == 1
+    assert out == ""
+    assert "--levels" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -194,6 +220,26 @@ def test_capacity_bad_n_add_writes_nothing(capsys, argv):
     assert code == 1
     assert out == ""
     assert "n_add" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3", "--grid-throughput-hz", "1:10:2"),
+         "--grid-throughput-hz"),
+        (("--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3", "--eta", "0.4"), "--eta"),
+        (("--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3", "--n-add", "0.5"), "--n-add"),
+        (("--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:0.9:3", "--bandwidth-hz", "22000"),
+         "--bandwidth-hz"),
+        (("--eta", "0.4", "--n-add", "0.5", "--grid-n-add", "0:0.9:3"), "--grid-n-add"),
+    ],
+    ids=["both-grids", "grid-eta", "grid-n-add", "grid-bandwidth", "point-grid-n-add"],
+)
+def test_capacity_rejects_flags_its_mode_ignores(capsys, argv, flag):
+    code, out, err = run(capsys, "capacity", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
 
 
 def test_capacity_throughput_grid_zero_above_unit_noise(capsys):
@@ -272,6 +318,21 @@ def test_filter_analysis_nonfinite_input_writes_nothing(capsys, argv, name):
     assert name in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--t-rep-s", "nan"), ("--t-rep-s", "inf"), ("--t-rep-s", "-1"), ("--t-rep-mult", "nan")],
+)
+def test_filter_analysis_checks_repetition_time_before_the_fft(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("impulse_response ran for a bad repetition time")
+
+    monkeypatch.setattr(filters, "impulse_response", never)
+    code, out, err = run(capsys, "filter-analysis", "--linewidth-hz", "21700", *argv)
+    assert code == 1
+    assert out == ""
+    assert "t_rep_s" in err
+
+
 def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch):
     responses = []
 
@@ -338,6 +399,36 @@ def test_sweep_csv_header(capsys):
     assert len(lines) == 8
 
 
+# what each --variable mode needs besides --range-hz
+SWEEP_MODE_ARGS = {
+    "gamma-e": ("--gamma-o-hz", "11000"),
+    "gamma-o": ("--gamma-e-hz", "11000"),
+    "both": ("--range2-hz", "1000:2000"),
+}
+
+
+@pytest.mark.parametrize(
+    "variable, flag",
+    [
+        ("gamma-e", "--gamma-e-hz"),
+        ("gamma-e", "--range2-hz"),
+        ("gamma-o", "--gamma-o-hz"),
+        ("gamma-o", "--range2-hz"),
+        ("both", "--gamma-e-hz"),
+        ("both", "--gamma-o-hz"),
+    ],
+)
+def test_sweep_rejects_flags_its_variable_ignores(capsys, variable, flag):
+    value = "1:2" if flag == "--range2-hz" else "5"
+    code, out, err = run(
+        capsys, "sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--variable", variable,
+        "--range-hz", "1000:100000", "--n", "2", *SWEEP_MODE_ARGS[variable], flag, value,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
 def test_optimize_cli(capsys):
     code, out, _ = run(
         capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", "up",
@@ -372,26 +463,13 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys):
 
 
 def test_fit_spectrum_cli(tmp_path, capsys):
-    import numpy as np
-    from quduct.spectra import (
-        FrequencyGrid,
-        LorentzComponent,
-        synth_output_noise,
-        write_spectrum_csv,
-    )
+    from quduct.spectra import SPECTRUM_CSV_HEADER, FrequencyGrid
 
-    grid = FrequencyGrid(1.2e6, 1.34e6, 1401)
-    comp = LorentzComponent(center_hz=1.27e6, fwhm_hz=9e3, height=1.3)
-    spectrum = synth_output_noise([comp], floor=0.05, grid=grid)
-    values = spectrum.values.copy()
-    f = grid.frequencies()
-    zone = (f >= 1.275e6) & (f <= 1.277e6)
-    values[zone] += 20.0
-    contaminated = synth_output_noise([comp], floor=0.05, grid=grid)
+    f = FrequencyGrid(1.2e6, 1.34e6, 1401).frequencies()
+    values = 0.05 + 1.3 / (1.0 + ((f - 1.27e6) / 4.5e3) ** 2)
+    values[(f >= 1.275e6) & (f <= 1.277e6)] += 20.0
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(
-        type(contaminated)(grid, values), path
-    )
+    path.write_text(csv_text(SPECTRUM_CSV_HEADER, zip(f, values)))
     code, out, _ = run(
         capsys, "fit-spectrum", "--spectrum", str(path),
         "--exclude", "1.275e6:1.277e6",

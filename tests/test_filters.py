@@ -39,7 +39,7 @@ def test_unnotched_energy_is_exponential():
 def test_unnotched_total_energy_normalised():
     spec = FilterSpec(linewidth_hz=LINEWIDTH)
     resp = impulse_response(spec)
-    assert resp.total() == pytest.approx(1.0, rel=1e-12)
+    assert resp.energy.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_parseval_between_domains():
@@ -57,7 +57,7 @@ def test_parseval_between_domains():
     covered = (np.minimum(f + 0.5 * df, 6e3) - np.maximum(f - 0.5 * df, 4e3)) / df
     h = h0 * np.sqrt(1.0 - np.clip(covered, 0.0, 1.0))
     freq_ratio = np.sum(np.abs(h) ** 2) / np.sum(np.abs(h0) ** 2)
-    assert resp.total() == pytest.approx(freq_ratio, rel=1e-8)
+    assert resp.energy.sum() == pytest.approx(freq_ratio, rel=1e-8)
 
 
 def test_cumulative_capture_at_three_lifetimes():

@@ -13,7 +13,6 @@ from quduct.registry import (
     external_upconversion_path,
     load_registry,
     scatter_csv,
-    write_registry,
 )
 
 # throughput = eta * B * D, computed by hand from the tabulated values
@@ -41,14 +40,6 @@ def test_bundled_throughput_arithmetic():
         assert records[label].throughput_hz == pytest.approx(
             expected, rel=5e-4
         ), label
-
-
-def test_round_trip_is_lossless(tmp_path):
-    records = load_registry()
-    out = tmp_path / "registry.csv"
-    write_registry(records, out)
-    again = load_registry(out)
-    assert again == records
 
 
 def test_malformed_rows_report_line_numbers(tmp_path):

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from quduct.registry import csv_text
 from quduct.spectra import (
+    SPECTRUM_CSV_HEADER,
     ExclusionBands,
     FrequencyGrid,
-    LorentzComponent,
     LorentzianFit,
     Spectrum,
     averaged_added_noise,
-    efficiency_lineshape,
     fit_lorentzian,
-    input_refer,
-    synth_output_noise,
 )
 
 GRID = FrequencyGrid(start_hz=1.2e6, stop_hz=1.34e6, n_points=2001)
@@ -28,17 +26,6 @@ def test_grid_basics():
         FrequencyGrid(1.0, 1.0, 10)
 
 
-def test_lineshape_peak_and_half_width():
-    bw = 11e3  # half-width at half-maximum by convention
-    spec = efficiency_lineshape(0.4, bw, GRID, CENTER)
-    f = GRID.frequencies()
-    assert spec.values[np.argmin(np.abs(f - CENTER))] == pytest.approx(0.4, rel=1e-6)
-    at_hwhm = 0.4 / (1.0 + ((CENTER + bw - CENTER) / bw) ** 2)
-    assert at_hwhm == pytest.approx(0.2)
-    idx = np.argmin(np.abs(f - (CENTER + bw)))
-    assert spec.values[idx] == pytest.approx(0.2, rel=1e-3)
-
-
 def test_exclusion_bands_merge_and_query():
     bands = ExclusionBands([(10.0, 20.0), (15.0, 30.0), (50.0, 60.0)])
     assert bands.bands == ((10.0, 30.0), (50.0, 60.0))
@@ -48,84 +35,15 @@ def test_exclusion_bands_merge_and_query():
         ExclusionBands([(2.0, 1.0)])
 
 
-def test_synth_single_component_area():
-    comp = LorentzComponent(center_hz=CENTER, fwhm_hz=4e3, area=2.5)
-    spec = synth_output_noise([comp], floor=0.0, grid=GRID)
-    f = GRID.frequencies()
-    total = np.trapezoid(spec.values, f)
-    assert total == pytest.approx(2.5, rel=2e-2)  # finite window clips the tails
-    assert spec.values.max() == pytest.approx(2.5 * 2 / (np.pi * 4e3), rel=1e-3)
-
-
-def test_synth_squashing_dip():
-    floor = 1.0
-    dip = LorentzComponent(center_hz=CENTER, fwhm_hz=2e3, height=0.4, sign=-1)
-    spec = synth_output_noise([dip], floor=floor, grid=GRID)
-    f = GRID.frequencies()
-    center_idx = np.argmin(np.abs(f - CENTER))
-    assert spec.values[center_idx] == pytest.approx(0.6, rel=1e-6)
-    # the dip subtracts everywhere, so the spectrum stays below the floor
-    # and recovers toward it in the far tails
-    assert np.all(spec.values <= floor)
-    assert spec.values.max() == pytest.approx(floor, rel=1e-3)
-    assert np.argmin(spec.values) == center_idx
-
-
-def test_synth_is_pointwise_sum():
-    a = LorentzComponent(center_hz=CENTER - 3e3, fwhm_hz=2e3, height=1.0)
-    b = LorentzComponent(center_hz=CENTER + 3e3, fwhm_hz=5e3, height=0.5)
-    combined = synth_output_noise([a, b], floor=0.2, grid=GRID)
-    only_a = synth_output_noise([a], floor=0.2, grid=GRID)
-    only_b = synth_output_noise([b], floor=0.0, grid=GRID)
-    assert np.allclose(combined.values, only_a.values + only_b.values, rtol=1e-13)
-
-
-def test_synth_clamps_with_warning():
-    dip = LorentzComponent(center_hz=CENTER, fwhm_hz=2e3, height=2.0, sign=-1)
-    with pytest.warns(UserWarning, match="clamped"):
-        spec = synth_output_noise([dip], floor=1.0, grid=GRID)
-    assert spec.values.min() == 0.0
-
-
-def test_input_refer_ratio_identity():
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
-    noise = Spectrum(GRID, eff.values.copy())
-    referred = input_refer(noise, eff)
-    valid = referred.valid_mask()
-    assert valid.sum() > 0
-    assert np.allclose(referred.values[valid], 1.0, rtol=1e-12)
-
-
-def test_input_refer_proportional_lorentzians_are_flat():
-    # output noise = 2.6 * efficiency lineshape -> flat 2.6 when referred
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
-    noise = Spectrum(GRID, 2.6 * eff.values)
-    referred = input_refer(noise, eff)
-    valid = referred.valid_mask()
-    assert np.allclose(referred.values[valid], 2.6, rtol=1e-12)
-
-
-def test_input_refer_masks_band_edges():
-    wide = FrequencyGrid(CENTER - 5e6, CENTER + 5e6, 4001)
-    eff = efficiency_lineshape(0.4, 11e3, wide, CENTER)
-    noise = Spectrum(wide, np.ones(wide.n_points))
-    referred = input_refer(noise, eff)
-    masked_count = int((~referred.valid_mask()).sum())
-    assert masked_count > 0
-    assert np.all(np.isfinite(referred.values[referred.valid_mask()]))
-
-
-def test_input_refer_grid_mismatch():
-    other = FrequencyGrid(0.0, 1.0, 10)
-    eff = efficiency_lineshape(0.4, 0.1, other, 0.5)
-    noise = Spectrum(GRID, np.ones(GRID.n_points))
-    with pytest.raises(ValueError, match="grid"):
-        input_refer(noise, eff)
-
-
 def _noise_spectrum(floor=0.05, height=1.3, center=CENTER, fwhm=9e3, grid=GRID):
-    comp = LorentzComponent(center_hz=center, fwhm_hz=fwhm, height=height)
-    return synth_output_noise([comp], floor=floor, grid=grid)
+    """Floor plus a Lorentzian line of peak ``height`` and full width ``fwhm``."""
+    u = (grid.frequencies() - center) / (fwhm / 2.0)
+    return Spectrum(grid, floor + height / (1.0 + u * u))
+
+
+def _efficiency(eta_peak, bandwidth_hz, grid=GRID):
+    """Efficiency Lorentzian at CENTER; ``bandwidth_hz`` is the half-width."""
+    return Spectrum(grid, eta_peak / (1.0 + ((grid.frequencies() - CENTER) / bandwidth_hz) ** 2))
 
 
 def test_fit_recovers_noiseless_parameters():
@@ -161,7 +79,7 @@ def test_fit_with_excluded_spike():
 def test_fit_round_trip_idempotent():
     spec = _noise_spectrum()
     fit1 = fit_lorentzian(spec, ExclusionBands())
-    resynth = Spectrum(GRID, fit1.evaluate(GRID.frequencies()))
+    resynth = _noise_spectrum(fit1.floor, fit1.peak_height, fit1.center_hz, fit1.fwhm_hz)
     fit2 = fit_lorentzian(resynth, ExclusionBands())
     assert fit2.center_hz == pytest.approx(fit1.center_hz, abs=1.0)
     assert fit2.fwhm_hz == pytest.approx(fit1.fwhm_hz, rel=1e-6)
@@ -183,13 +101,13 @@ def test_fit_accepts_initial_guess():
 
 
 def test_averaged_constant_noise():
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
+    eff = _efficiency(0.4, 11e3)
     flat = Spectrum(GRID, np.full(GRID.n_points, 2.6))
     assert averaged_added_noise(flat, eff) == pytest.approx(2.6, rel=1e-12)
 
 
 def test_averaged_excludes_spike():
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
+    eff = _efficiency(0.4, 11e3)
     values = np.full(GRID.n_points, 2.6)
     f = GRID.frequencies()
     spike_zone = (f > CENTER + 4e3) & (f < CENTER + 6e3)
@@ -201,7 +119,7 @@ def test_averaged_excludes_spike():
 
 
 def test_averaged_symmetric_half_exclusion():
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
+    eff = _efficiency(0.4, 11e3)
     f = GRID.frequencies()
     symmetric = Spectrum(GRID, 1.0 + ((f - CENTER) / 50e3) ** 2)
     full = averaged_added_noise(symmetric, eff)
@@ -212,7 +130,7 @@ def test_averaged_symmetric_half_exclusion():
 
 
 def test_averaged_invariant_under_efficiency_rescale():
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
+    eff = _efficiency(0.4, 11e3)
     scaled = Spectrum(GRID, 7.3 * eff.values)
     spec = _noise_spectrum()
     assert averaged_added_noise(spec, eff) == pytest.approx(
@@ -221,7 +139,7 @@ def test_averaged_invariant_under_efficiency_rescale():
 
 
 def test_averaged_zero_weight_errors():
-    eff = efficiency_lineshape(0.4, 11e3, GRID, CENTER)
+    eff = _efficiency(0.4, 11e3)
     spec = _noise_spectrum()
     with pytest.raises(ValueError, match="zero total weight"):
         averaged_added_noise(spec, eff, ExclusionBands([(0.0, 1e9)]))
@@ -233,7 +151,7 @@ def test_averaged_trapezoid_second_order_convergence():
     def weighted_mean(n):
         grid = FrequencyGrid(CENTER - 30e3, CENTER + 30e3, n)
         f = grid.frequencies()
-        eff = efficiency_lineshape(0.4, 11e3, grid, CENTER)
+        eff = _efficiency(0.4, 11e3, grid)
         # the phase offset keeps the integrand asymmetric about the peak,
         # so trapezoid errors cannot cancel by symmetry
         smooth = Spectrum(grid, 2.0 + np.sin((f - CENTER) / 2e4 + 0.7))
@@ -245,20 +163,12 @@ def test_averaged_trapezoid_second_order_convergence():
     assert err_coarse / err_fine >= 3.9
 
 
-def test_input_refer_of_scaled_synth_is_constant():
-    eff = efficiency_lineshape(0.5, 8e3, GRID, CENTER)
-    noise = Spectrum(GRID, eff.values * 3.7)
-    referred = input_refer(noise, eff)
-    valid = referred.valid_mask()
-    assert np.allclose(referred.values[valid], 3.7, rtol=1e-12)
-
-
 def test_spectrum_csv_round_trip(tmp_path):
-    from quduct.spectra import read_spectrum_csv, write_spectrum_csv
+    from quduct.spectra import read_spectrum_csv
 
     spec = _noise_spectrum()
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(spec, path)
+    path.write_text(csv_text(SPECTRUM_CSV_HEADER, zip(spec.grid.frequencies(), spec.values)))
     again = read_spectrum_csv(path)
     assert again.grid == spec.grid
     assert np.array_equal(again.values, spec.values)
