@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 
 import numpy as np
@@ -173,20 +172,13 @@ def _cmd_sweep(args):
         model=model,
         duty=args.duty,
     )
+    columns = optimize.sweep(spec, cfg.device, cfg.environment)
+    for rate in ("gamma_e", "gamma_o"):
+        columns[rate] = rate_to_hz(columns[rate])
     header = ["gamma_e_hz", "gamma_o_hz", "throughput_hz", "n_add_total",
               "n_add_motional", "n_add_em", "n_add_corr"]
-    return header, map(_sweep_row, optimize.sweep(spec, cfg.device, cfg.environment))
-
-
-def _sweep_row(point) -> list:
-    """One sweep CSV row; a point the model could not evaluate has nan noise."""
-    budget = point.budget
-    if budget is None:
-        terms = [math.nan, math.nan, math.nan]
-    else:
-        terms = [budget.motional, budget.electromagnetic, budget.correlation]
-    return [rate_to_hz(point.op.gamma_e), rate_to_hz(point.op.gamma_o),
-            point.throughput_hz, point.n_add_total, *terms]
+    # the columns come in the header's order
+    return header, zip(*(column.tolist() for column in columns.values()))
 
 
 def _cmd_optimize(args):
@@ -201,6 +193,7 @@ def _cmd_optimize(args):
             bracket=bracket, model=model, duty=args.duty,
         )
     else:
+        _reject_given(args, ("--gamma-o-hz",), "is not used with --direction down")
         model = _model_for("down", args.model)
         result = optimize.optimize_down(
             cfg.device, cfg.environment, gamma_o_bracket=bracket,
@@ -226,7 +219,8 @@ def _cmd_optimize(args):
 
 def _cmd_capacity(args):
     if args.grid_eta or args.grid_throughput_hz:
-        _reject_given(args, ("--eta", "--n-add", "--bandwidth-hz"), "is not used in grid mode")
+        point_only = ("--eta", "--n-add", "--bandwidth-hz", "--duty", "--form")
+        _reject_given(args, point_only, "is not used in grid mode")
         if args.grid_eta:
             _reject_given(args, ("--grid-throughput-hz",), "cannot be combined with --grid-eta")
         if args.grid_n_add is None:
@@ -254,17 +248,20 @@ def _cmd_capacity(args):
     point = cap_ub_point(args.eta, args.n_add)
     if args.bandwidth_hz is None:
         return ["eta", "n_add", "c_ub"], [[args.eta, args.n_add, point]]
-    spec = ChannelSpec(args.eta, args.n_add, args.bandwidth_hz, args.duty)
+    # --duty and --form have no parser default, so that grid mode sees them given
+    duty = 1.0 if args.duty is None else args.duty
+    spec = ChannelSpec(args.eta, args.n_add, args.bandwidth_hz, duty)
+    form = args.form or "closed"
     integrated = {
         "closed": cap_integrated_closed,
         "quadrature": cap_integrated_quadrature,
         "small-eta": lambda s: cap_small_eta(s.n_add, s.throughput_hz),
-    }[args.form](spec)
+    }[form](spec)
     return (
         ["eta", "n_add", "bandwidth_hz", "duty", "throughput_hz",
          "c_ub", "cap_qubits_per_s", "form"],
         [[spec.eta, spec.n_add, spec.bandwidth_hz, spec.duty,
-          spec.throughput_hz, point, integrated, args.form]],
+          spec.throughput_hz, point, integrated, form]],
     )
 
 
@@ -453,8 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--n-add", type=float)
     p.add_argument("--bandwidth-hz", type=float)
-    p.add_argument("--duty", type=float, default=1.0)
-    p.add_argument("--form", choices=["closed", "small-eta", "quadrature"], default="closed")
+    p.add_argument("--duty", type=float)
+    p.add_argument("--form", choices=["closed", "small-eta", "quadrature"])
     p.add_argument("--grid-eta", help="LOW:HIGH:N (linear)")
     p.add_argument("--grid-n-add", help="LOW:HIGH:N (linear)")
     p.add_argument("--grid-throughput-hz", help="LOW:HIGH:N (log spaced)")

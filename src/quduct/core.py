@@ -258,5 +258,5 @@ def apparent_efficiency(params: DeviceParams, op: OperatingPoint) -> float:
     gamma_t = total_damping(params, op)
     if gamma_t <= 0:
         raise ValueError("total damping must be positive")
-    matching = 4.0 * op.gamma_e * op.gamma_o / gamma_t**2
+    matching = 4.0 * op.gamma_e * op.gamma_o / (gamma_t * gamma_t)
     return params.gain_total * params.eta_m * matching

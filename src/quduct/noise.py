@@ -22,7 +22,6 @@ from .core import (
     NoiseEnvironment,
     OperatingPoint,
     assemble_budget,
-    total_damping,
 )
 
 MODEL_IDEAL_UP = "ideal_up"
@@ -32,16 +31,11 @@ MODEL_LOSSY_UP = "lossy_up"
 MODEL_LOSSY_DOWN = "lossy_down"
 
 
-def n_bar_e(env: NoiseEnvironment, gamma_e: float) -> float:
+def n_bar_e(env: NoiseEnvironment, gamma_e):
     """Microwave circuit occupancy at a given electromechanical rate,
-    linear model a_e * gamma_e + b_e."""
-    value = env.a_e * gamma_e + env.b_e
-    if value < 0.0:
-        raise ValueError(
-            f"occupancy model gives negative n_bar_e = {value:.4g} at "
-            f"gamma_e = {gamma_e:.4g} rad/s; coefficients are invalid there"
-        )
-    return value
+    linear model a_e * gamma_e + b_e; :func:`evaluate` rejects a negative one.
+    """
+    return env.a_e * gamma_e + env.b_e
 
 
 def _require_positive(name: str, value: float):
@@ -49,57 +43,45 @@ def _require_positive(name: str, value: float):
         raise ValueError(f"{name} must be positive here (division), got {value}")
 
 
-def _occupancies(params: DeviceParams, env: NoiseEnvironment, gamma_e: float):
+def _damping_and_occupancies(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
+    """Total damping Gamma_T, n_bar_e, and the port occupancies n_em and n_om."""
     nbe = n_bar_e(env, gamma_e)
-    n_em = nbe + params.n_min_e
-    n_om = env.n_bar_o + params.n_min_o
-    return nbe, n_em, n_om
+    gamma_t = gamma_e + gamma_o + params.gamma_m
+    return gamma_t, nbe, nbe + params.n_min_e, env.n_bar_o + params.n_min_o
 
 
-def n_add_up_ideal(
-    params: DeviceParams, op: OperatingPoint, env: NoiseEnvironment
-) -> NoiseBudget:
+def _up_ideal(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
     """Upconversion added noise, lossless resolved-sideband form.
 
     Motional: thermal/Gamma_e + n_em + n_om Gamma_o / Gamma_e.
     Electromagnetic: n_bar_o Gamma_T^2 / (Gamma_e Gamma_o).
     Correlation (subtracted): 2 n_bar_o Gamma_T / Gamma_e.
     """
-    _require_positive("gamma_e", op.gamma_e)
-    _require_positive("gamma_o", op.gamma_o)
-    gamma_t = total_damping(params, op)
-    _, n_em, n_om = _occupancies(params, env, op.gamma_e)
-    motional = env.n_th_gamma_m / op.gamma_e + n_em + n_om * op.gamma_o / op.gamma_e
-    electromagnetic = env.n_bar_o * gamma_t**2 / (op.gamma_e * op.gamma_o)
-    correlation = 2.0 * env.n_bar_o * gamma_t / op.gamma_e
-    return assemble_budget(motional, electromagnetic, correlation, "up")
+    gamma_t, _, n_em, n_om = _damping_and_occupancies(params, env, gamma_e, gamma_o)
+    motional = env.n_th_gamma_m / gamma_e + n_em + n_om * gamma_o / gamma_e
+    electromagnetic = env.n_bar_o * (gamma_t * gamma_t) / (gamma_e * gamma_o)
+    correlation = 2.0 * env.n_bar_o * gamma_t / gamma_e
+    return motional, electromagnetic, correlation
 
 
-def n_add_down_ideal(
-    params: DeviceParams, op: OperatingPoint, env: NoiseEnvironment
-) -> NoiseBudget:
+def _down_ideal(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
     """Downconversion added noise, lossless resolved-sideband form.
 
-    Mirror of :func:`n_add_up_ideal` under exchange of the two ports.
+    Mirror of :func:`_up_ideal` under exchange of the two ports.
     """
-    _require_positive("gamma_e", op.gamma_e)
-    _require_positive("gamma_o", op.gamma_o)
-    gamma_t = total_damping(params, op)
-    nbe, n_em, n_om = _occupancies(params, env, op.gamma_e)
-    motional = env.n_th_gamma_m / op.gamma_o + n_om + n_em * op.gamma_e / op.gamma_o
-    electromagnetic = nbe * gamma_t**2 / (op.gamma_o * op.gamma_e)
-    correlation = 2.0 * nbe * gamma_t / op.gamma_o
-    return assemble_budget(motional, electromagnetic, correlation, "down")
+    gamma_t, nbe, n_em, n_om = _damping_and_occupancies(params, env, gamma_e, gamma_o)
+    motional = env.n_th_gamma_m / gamma_o + n_om + n_em * gamma_e / gamma_o
+    electromagnetic = nbe * (gamma_t * gamma_t) / (gamma_o * gamma_e)
+    correlation = 2.0 * nbe * gamma_t / gamma_o
+    return motional, electromagnetic, correlation
 
 
-def n_add_down_combined(
-    params: DeviceParams, op: OperatingPoint, env: NoiseEnvironment
-) -> NoiseBudget:
+def _down_combined(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
     """Downconversion added noise with the port terms combined.
 
     thermal/Gamma_o + n_om + n_bar_e Gamma_o / Gamma_e
     + n_min_e Gamma_e / Gamma_o.  Algebraically identical to
-    :func:`n_add_down_ideal` whenever Gamma_T = Gamma_e + Gamma_o
+    :func:`_down_ideal` whenever Gamma_T = Gamma_e + Gamma_o
     (negligible intrinsic loss in the total damping).  The last term is
     what limits the ratio Gamma_e / Gamma_o at high microwave drive.
 
@@ -107,19 +89,13 @@ def n_add_down_combined(
     occupancy terms as electromagnetic; the correlation slot is zero
     because the interference has been absorbed.
     """
-    _require_positive("gamma_e", op.gamma_e)
-    _require_positive("gamma_o", op.gamma_o)
-    nbe = n_bar_e(env, op.gamma_e)
-    motional = env.n_th_gamma_m / op.gamma_o + env.n_bar_o + params.n_min_o
-    electromagnetic = (
-        nbe * op.gamma_o / op.gamma_e + params.n_min_e * op.gamma_e / op.gamma_o
-    )
-    return assemble_budget(motional, electromagnetic, 0.0, "down")
+    nbe = n_bar_e(env, gamma_e)
+    motional = env.n_th_gamma_m / gamma_o + env.n_bar_o + params.n_min_o
+    electromagnetic = nbe * gamma_o / gamma_e + params.n_min_e * gamma_e / gamma_o
+    return motional, electromagnetic, 0.0
 
 
-def n_add_down_lossy(
-    params: DeviceParams, op: OperatingPoint, env: NoiseEnvironment
-) -> NoiseBudget:
+def _down_lossy(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
     """Downconversion added noise with lossy cavities and finite sideband gain.
 
     Motional: (thermal + locking + n_om Gamma_o + n_em Gamma_e)
@@ -129,34 +105,30 @@ def n_add_down_lossy(
     Correlation: 2 n_bar_e Gamma_T
               / (A_o eps sqrt(A_e) (k_o_ext/k_o) Gamma_o).
     """
-    _require_positive("gamma_e", op.gamma_e)
-    _require_positive("gamma_o", op.gamma_o)
     ratio_o = params.kappa_o_ext / params.kappa_o
     ratio_e = params.kappa_e_ext / params.kappa_e
     _require_positive("kappa_o_ext/kappa_o", ratio_o)
     _require_positive("kappa_e_ext/kappa_e", ratio_e)
     _require_positive("eps_mode", params.eps_mode)
     _require_positive("eta_m", params.eta_m)
-    gamma_t = total_damping(params, op)
-    nbe, n_em, n_om = _occupancies(params, env, op.gamma_e)
+    _require_positive("gain_e", params.gain_e)  # its square root divides
+    gamma_t, nbe, n_em, n_om = _damping_and_occupancies(params, env, gamma_e, gamma_o)
 
-    denom_o = params.gain_o * params.eps_mode * ratio_o * op.gamma_o
+    denom_o = params.gain_o * params.eps_mode * ratio_o * gamma_o
     motional = (
         env.n_th_gamma_m
         + env.n_lock_gamma_lock
-        + n_om * op.gamma_o
-        + n_em * op.gamma_e
+        + n_om * gamma_o
+        + n_em * gamma_e
     ) / denom_o
     electromagnetic = (
-        nbe * ratio_e * gamma_t**2 / (params.gain_total * params.eta_m * op.gamma_e * op.gamma_o)
+        nbe * ratio_e * (gamma_t * gamma_t) / (params.gain_total * params.eta_m * gamma_e * gamma_o)
     )
     correlation = 2.0 * nbe * gamma_t / (denom_o * params.gain_e**0.5)
-    return assemble_budget(motional, electromagnetic, correlation, "down")
+    return motional, electromagnetic, correlation
 
 
-def n_add_up_lossy(
-    params: DeviceParams, op: OperatingPoint, env: NoiseEnvironment
-) -> NoiseBudget:
+def _up_lossy(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
     """Upconversion added noise with lossy cavities, motional term only.
 
     (thermal + locking + n_em Gamma_e + n_om Gamma_o)
@@ -166,37 +138,65 @@ def n_add_up_lossy(
     microwave-side extraction factor; no measurement pins it, so it
     defaults to 1 and is a config knob.
     """
-    _require_positive("gamma_e", op.gamma_e)
     ratio_e = params.kappa_e_ext / params.kappa_e
     _require_positive("kappa_e_ext/kappa_e", ratio_e)
     _require_positive("eps_e", params.eps_e)
-    _, n_em, n_om = _occupancies(params, env, op.gamma_e)
-    denom_e = params.gain_e * params.eps_e * ratio_e * op.gamma_e
+    _, _, n_em, n_om = _damping_and_occupancies(params, env, gamma_e, gamma_o)
+    denom_e = params.gain_e * params.eps_e * ratio_e * gamma_e
     motional = (
         env.n_th_gamma_m
         + env.n_lock_gamma_lock
-        + n_em * op.gamma_e
-        + n_om * op.gamma_o
+        + n_em * gamma_e
+        + n_om * gamma_o
     ) / denom_e
-    return assemble_budget(motional, 0.0, 0.0, "up")
+    return motional, 0.0, 0.0
 
 
-_EVALUATORS = {
-    MODEL_IDEAL_UP: n_add_up_ideal,
-    MODEL_IDEAL_DOWN: n_add_down_ideal,
-    MODEL_IDEAL_DOWN_COMBINED: n_add_down_combined,
-    MODEL_LOSSY_UP: n_add_up_lossy,
-    MODEL_LOSSY_DOWN: n_add_down_lossy,
+# model -> (formula, direction, the rates it divides by)
+_MODELS = {
+    MODEL_IDEAL_UP: (_up_ideal, "up", ("gamma_e", "gamma_o")),
+    MODEL_IDEAL_DOWN: (_down_ideal, "down", ("gamma_e", "gamma_o")),
+    MODEL_IDEAL_DOWN_COMBINED: (_down_combined, "down", ("gamma_e", "gamma_o")),
+    MODEL_LOSSY_UP: (_up_lossy, "up", ("gamma_e",)),
+    MODEL_LOSSY_DOWN: (_down_lossy, "down", ("gamma_e", "gamma_o")),
 }
-MODEL_KINDS = tuple(_EVALUATORS)
+MODEL_KINDS = tuple(_MODELS)
+
+
+def _model(kind: str):
+    try:
+        return _MODELS[kind]
+    except KeyError:
+        raise ValueError(f"unknown noise model {kind!r}; one of {MODEL_KINDS}") from None
+
+
+def terms(kind: str, params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
+    """(motional, electromagnetic, correlation) of the model named by ``kind``.
+
+    The rates are floats or equal-shape arrays; a term no rate enters
+    comes back as a float.  Only the device, the same at every point, is
+    checked here: :func:`evaluate` makes the per-point checks, and a sweep
+    reports nan where they fail.
+    """
+    return _model(kind)[0](params, env, gamma_e, gamma_o)
 
 
 def evaluate(
     kind: str, params: DeviceParams, op: OperatingPoint, env: NoiseEnvironment
 ) -> NoiseBudget:
-    """Evaluate the added-noise model named by ``kind``."""
-    try:
-        fn = _EVALUATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown noise model {kind!r}; one of {MODEL_KINDS}") from None
-    return fn(params, op, env)
+    """Evaluate the added-noise model named by ``kind`` at one operating point.
+
+    Rejects, in this order, a non-positive rate the model divides by, a
+    device the model cannot use, a negative n_bar_e and a nonfinite term.
+    """
+    formula, direction, rates = _model(kind)
+    for name in rates:
+        _require_positive(name, getattr(op, name))
+    motional, electromagnetic, correlation = formula(params, env, op.gamma_e, op.gamma_o)
+    nbe = n_bar_e(env, op.gamma_e)
+    if nbe < 0.0:
+        raise ValueError(
+            f"occupancy model gives negative n_bar_e = {nbe:.4g} at "
+            f"gamma_e = {op.gamma_e:.4g} rad/s; coefficients are invalid there"
+        )
+    return assemble_budget(motional, electromagnetic, correlation, direction)

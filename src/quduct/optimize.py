@@ -1,8 +1,8 @@
 """Operating-point sweeps and noise-optimal pump settings.
 
 Sweeps sample pump rates logarithmically and evaluate the selected noise
-model at each point, pairing the resulting added noise with the
-throughput there; these are the raw data behind throughput/noise
+model on the whole grid at once, pairing the added noise with the
+throughput at each point; these are the raw data behind throughput/noise
 tradeoff curves.  The optimizers run golden-section search on
 log-transformed rates: the objectives are smooth and unimodal in the
 regimes of interest and span decades, so log spacing is the natural
@@ -12,8 +12,8 @@ pump power.
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +21,11 @@ import numpy as np
 from . import noise
 from .core import (
     DeviceParams,
+    InconsistentBudgetWarning,
     NoiseBudget,
     NoiseEnvironment,
     OperatingPoint,
-    apparent_efficiency,
-    bandwidth_hz,
+    rate_to_hz,
 )
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -65,51 +65,45 @@ class SweepSpec:
                 raise ValueError(f"{name} needs a fixed positive rate")
         if not (isinstance(self.gamma_e, tuple) or isinstance(self.gamma_o, tuple)):
             raise ValueError("nothing to sweep: give gamma_e or gamma_o a (low, high) range")
+        if not 0.0 < self.duty <= 1.0:
+            raise ValueError(f"duty cycle must be in (0, 1], got {self.duty}")
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One sweep sample: operating point, throughput, and its noise budget.
+def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> dict:
+    """Evaluate the selected model over the grid of log-spaced operating points.
 
-    ``error`` carries the evaluation failure message when the model could
-    not be evaluated at this point; the sweep keeps going.
+    Returns equal-length arrays keyed, in this order, ``gamma_e`` and
+    ``gamma_o`` (rad/s), ``throughput_hz``, ``total``, ``motional``,
+    ``electromagnetic`` and ``correlation``, with gamma_o fastest.  A
+    point that :func:`noise.evaluate` rejects has nan in the four noise
+    columns.  Negative totals raise one :class:`InconsistentBudgetWarning`.
     """
-
-    op: OperatingPoint
-    throughput_hz: float
-    n_add_total: float
-    budget: NoiseBudget | None
-    error: str | None = None
-
-
-def _axis_values(axis, n: int):
-    """``n`` log-spaced samples of a swept (low, high) axis; a fixed rate as is."""
-    return np.geomspace(*axis, n) if isinstance(axis, tuple) else [axis]
-
-
-def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> list:
-    """Evaluate the selected model over log-spaced operating points.
-
-    Points run over the product of the two axes, gamma_o fastest.
-    """
-    points = []
-    for ge, go in itertools.product(
-        _axis_values(spec.gamma_e, spec.n_samples),
-        _axis_values(spec.gamma_o, spec.n_samples),
-    ):
-        op = OperatingPoint(gamma_e=ge, gamma_o=go, duty=spec.duty)
-        # apparent efficiency can exceed 1 slightly when the sideband gain
-        # does, so the product is formed directly rather than through the
-        # range-checked core.throughput
-        eta = apparent_efficiency(params, op)
-        theta = eta * bandwidth_hz(params, op) * spec.duty
-        try:
-            budget = noise.evaluate(spec.model, params, op, env)
-        except (ValueError, ArithmeticError) as exc:
-            points.append(TradeoffPoint(op, theta, math.nan, None, error=str(exc)))
-            continue
-        points.append(TradeoffPoint(op, theta, budget.total, budget))
-    return points
+    axes = [np.geomspace(*axis, spec.n_samples) if isinstance(axis, tuple) else [axis]
+            for axis in (spec.gamma_e, spec.gamma_o)]
+    gamma_e, gamma_o = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
+    # apparent_efficiency * bandwidth_hz * duty over arrays; unlike
+    # core.throughput, it lets the sideband gain push the efficiency past 1
+    gamma_t = gamma_e + gamma_o + params.gamma_m
+    if (gamma_t <= 0).any():
+        raise ValueError("total damping must be positive")
+    eta = params.gain_total * params.eta_m * (4.0 * gamma_e * gamma_o / (gamma_t * gamma_t))
+    columns = {"gamma_e": gamma_e, "gamma_o": gamma_o}
+    columns["throughput_hz"] = eta * rate_to_hz(gamma_t) * spec.duty
+    try:
+        terms = noise.terms(spec.model, params, env, gamma_e, gamma_o)
+    except (ValueError, ArithmeticError):  # a device the model rejects
+        terms = (math.nan,) * 3
+    motional, electromagnetic, correlation = terms
+    finite = np.isfinite(motional) & np.isfinite(electromagnetic) & np.isfinite(correlation)
+    rejected = ~finite | (noise.n_bar_e(env, gamma_e) < 0.0)
+    names = ("total", "motional", "electromagnetic", "correlation")
+    for name, value in zip(names, (motional + electromagnetic - correlation, *terms)):
+        columns[name] = np.where(rejected, math.nan, value)
+    negative = np.count_nonzero(columns["total"] < 0.0)
+    if negative:
+        message = f"noise budget total is negative at {negative} of {len(gamma_e)} points"
+        warnings.warn(f"{message}; inputs are inconsistent", InconsistentBudgetWarning, stacklevel=2)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -141,18 +135,13 @@ def _golden_min(fn, lo: float, hi: float) -> float:
     return math.exp(0.5 * (a + b))
 
 
-def _coarse_scan(fn, lo: float, hi: float):
-    xs = np.geomspace(lo, hi, _COARSE_POINTS)
-    ys = np.array([fn(x) for x in xs])
-    return xs, ys
-
-
 def _minimize_log_axis(fn, bracket):
     """Coarse scan then golden section; flags boundary and flat outcomes."""
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must be positive and increasing")
-    xs, ys = _coarse_scan(fn, lo, hi)
+    xs = np.geomspace(lo, hi, _COARSE_POINTS)
+    ys = np.array([fn(x) for x in xs])
     spread = float(ys.max() - ys.min())
     if spread <= _FLAT_SPREAD * max(abs(float(ys.max())), 1e-300):
         return lo, True, False  # flat: lowest pump power wins

@@ -51,7 +51,7 @@ class Spectrum:
         if values.shape != (self.grid.n_points,):
             raise ValueError("values length does not match the grid")
         if not np.all(np.isfinite(values)):
-            raise ValueError("spectrum has nonfinite values at valid points")
+            raise ValueError("spectrum has nonfinite values")
 
 
 class ExclusionBands:
@@ -226,6 +226,8 @@ def read_spectrum_csv(path) -> Spectrum:
             try:
                 freqs.append(float(row[0]))
                 values.append(float(row[1]))
+                if not (math.isfinite(freqs[-1]) and math.isfinite(values[-1])):
+                    raise ValueError(f"{row[0]},{row[1]} is not finite")
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from exc
     if len(freqs) < 2:

@@ -167,8 +167,8 @@ def test_criterion_05_down_conversion_form_equivalence():
         op = OperatingPoint(
             gamma_e=rng.uniform(10.0, 1e6), gamma_o=rng.uniform(10.0, 1e6)
         )
-        ideal = noise.n_add_down_ideal(params, op, env).total
-        combined = noise.n_add_down_combined(params, op, env).total
+        ideal = noise.evaluate(noise.MODEL_IDEAL_DOWN, params, op, env).total
+        combined = noise.evaluate(noise.MODEL_IDEAL_DOWN_COMBINED, params, op, env).total
         assert abs(ideal - combined) <= 1e-12 * max(abs(ideal), 1.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -191,11 +191,11 @@ def test_criterion_06_lossless_reduction():
         op = OperatingPoint(
             gamma_e=rng.uniform(10.0, 1e6), gamma_o=rng.uniform(10.0, 1e6)
         )
-        lossy_down = noise.n_add_down_lossy(params, op, env).total
-        ideal_down = noise.n_add_down_ideal(params, op, env).total
+        lossy_down = noise.evaluate(noise.MODEL_LOSSY_DOWN, params, op, env).total
+        ideal_down = noise.evaluate(noise.MODEL_IDEAL_DOWN, params, op, env).total
         assert abs(lossy_down - ideal_down) <= 1e-12 * max(abs(ideal_down), 1.0)
 
-        lossy_up = noise.n_add_up_lossy(params, op, env).total
+        lossy_up = noise.evaluate(noise.MODEL_LOSSY_UP, params, op, env).total
         n_em = noise.n_bar_e(env, op.gamma_e) + params.n_min_e
         n_om = env.n_bar_o + params.n_min_o
         expected_up = (
@@ -306,7 +306,7 @@ def test_criterion_12_measured_noise_bracketing():
         b_e=0.7,
     )
     op = OperatingPoint(gamma_e=rate_from_hz(11e3), gamma_o=rate_from_hz(11e3))
-    ideal = noise.n_add_up_lossy(_lossless_params(), op, env).total
+    ideal = noise.evaluate(noise.MODEL_LOSSY_UP, _lossless_params(), op, env).total
     assert 1.0 <= ideal <= 1.5
     assert ideal < 2.6
 
@@ -324,7 +324,7 @@ def test_criterion_12_measured_noise_bracketing():
             params.gain_e * params.eps_e * params.kappa_e_ext / params.kappa_e
         )
         assert 0.45 <= factor <= 0.55
-        total = noise.n_add_up_lossy(params, op, env).total
+        total = noise.evaluate(noise.MODEL_LOSSY_UP, params, op, env).total
         assert 2.2 <= total <= 3.0, (overrides, total)
         totals.append(total)
     _report(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quduct import filters
+from quduct import filters, noise
 from quduct.capacity import (
     ChannelSpec,
     cap_integrated_closed,
@@ -10,6 +10,14 @@ from quduct.capacity import (
     capacity_contours,
 )
 from quduct.cli import cli_dispatch
+from quduct.config import load_config
+from quduct.core import (
+    OperatingPoint,
+    apparent_efficiency,
+    bandwidth_hz,
+    rate_from_hz,
+    rate_to_hz,
+)
 from quduct.filters import filter_report, impulse_response
 from quduct.registry import bundled_registry_path, contour_csv, csv_text
 
@@ -232,8 +240,14 @@ def test_capacity_bad_n_add_writes_nothing(capsys, argv):
         (("--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:0.9:3", "--bandwidth-hz", "22000"),
          "--bandwidth-hz"),
         (("--eta", "0.4", "--n-add", "0.5", "--grid-n-add", "0:0.9:3"), "--grid-n-add"),
+        (("--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3", "--duty", "0.5"), "--duty"),
+        (("--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3", "--form", "closed"), "--form"),
+        (("--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:0.9:3", "--duty", "1"), "--duty"),
+        (("--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:0.9:3", "--form", "small-eta"),
+         "--form"),
     ],
-    ids=["both-grids", "grid-eta", "grid-n-add", "grid-bandwidth", "point-grid-n-add"],
+    ids=["both-grids", "grid-eta", "grid-n-add", "grid-bandwidth", "point-grid-n-add",
+         "eta-grid-duty", "eta-grid-form", "throughput-grid-duty", "throughput-grid-form"],
 )
 def test_capacity_rejects_flags_its_mode_ignores(capsys, argv, flag):
     code, out, err = run(capsys, "capacity", *argv)
@@ -391,12 +405,19 @@ def test_sweep_csv_header(capsys):
         "--gamma-o-hz", "11000",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == (
+    assert out.splitlines()[0] == (
         "gamma_e_hz,gamma_o_hz,throughput_hz,n_add_total,"
         "n_add_motional,n_add_em,n_add_corr"
     )
-    assert len(lines) == 8
+    cfg = load_config(EXAMPLE_CFG)
+    rows = []
+    for gamma_e in np.geomspace(rate_from_hz(1000.0), rate_from_hz(100000.0), 7):
+        op = OperatingPoint(gamma_e, rate_from_hz(11000.0))
+        b = noise.evaluate(noise.MODEL_LOSSY_UP, cfg.device, op, cfg.environment)
+        theta = apparent_efficiency(cfg.device, op) * bandwidth_hz(cfg.device, op) * op.duty
+        rows.append((rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o), theta,
+                     b.total, b.motional, b.electromagnetic, b.correlation))
+    assert out == _csv_lines(out.splitlines()[0].split(","), rows)
 
 
 # what each --variable mode needs besides --range-hz
@@ -438,6 +459,16 @@ def test_optimize_cli(capsys):
     values = dict(line.split("=") for line in out.strip().splitlines())
     assert values["at_boundary"] == "False"
     assert float(values["gamma_e_hz"]) > 0
+
+
+def test_optimize_down_rejects_gamma_o(capsys):
+    code, out, err = run(
+        capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", "down",
+        "--gamma-o-hz", "5",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --gamma-o-hz is not used with --direction down\n"
 
 
 def test_compare_bundle(tmp_path, capsys):

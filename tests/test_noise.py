@@ -10,6 +10,7 @@ from quduct.core import (
     NoiseEnvironment,
     OperatingPoint,
     TWO_PI,
+    assemble_budget,
     rate_from_hz,
 )
 
@@ -70,14 +71,16 @@ def test_n_bar_e_linear_evaluations():
 
 def test_n_bar_e_negative_rejected():
     env = NoiseEnvironment(n_th_gamma_m=0.0, a_e=-1.0, b_e=0.0)
-    with pytest.raises(ValueError, match="negative"):
-        noise.n_bar_e(env, 1.0)
+    assert noise.n_bar_e(env, 1.0) == -1.0  # the formula; evaluate rejects it
+    for kind in noise.MODEL_KINDS:
+        with pytest.raises(ValueError, match="negative n_bar_e"):
+            noise.evaluate(kind, lossless_params(), OperatingPoint(1.0, 1.0), env)
 
 
 def test_up_ideal_noiseless_limit():
     env = NoiseEnvironment(n_th_gamma_m=0.0)
     op = OperatingPoint(gamma_e=1e3, gamma_o=1e3)
-    budget = noise.n_add_up_ideal(lossless_params(), op, env)
+    budget = noise.evaluate(noise.MODEL_IDEAL_UP, lossless_params(), op, env)
     assert budget.total == 0.0
     assert budget.direction == "up"
 
@@ -87,7 +90,7 @@ def test_up_ideal_calibrated_example():
     # total = 4530/11000 + (1.3e-5 * 11000 + 0.7) = 0.41182 + 0.843
     env = NoiseEnvironment(n_th_gamma_m=rate_from_hz(4530.0), **TABLE_OPTOMECH)
     op = OperatingPoint(gamma_e=rate_from_hz(11e3), gamma_o=rate_from_hz(11e3))
-    budget = noise.n_add_up_ideal(lossless_params(), op, env)
+    budget = noise.evaluate(noise.MODEL_IDEAL_UP, lossless_params(), op, env)
     assert budget.total == pytest.approx(4530.0 / 11000.0 + 0.843, rel=1e-12)
     assert 1.0 <= budget.total <= 1.5
 
@@ -102,14 +105,14 @@ def test_up_down_mirror_symmetry():
         params = lossless_params(n_min_e=n_min_e, n_min_o=n_min_o)
         env = NoiseEnvironment(n_th_gamma_m=n_th, a_e=0.0, b_e=b_e, n_bar_o=n_bar_o)
         op = OperatingPoint(gamma_e=ge, gamma_o=go)
-        down = noise.n_add_down_ideal(params, op, env)
+        down = noise.evaluate(noise.MODEL_IDEAL_DOWN, params, op, env)
 
         swapped_params = lossless_params(n_min_e=n_min_o, n_min_o=n_min_e)
         swapped_env = NoiseEnvironment(
             n_th_gamma_m=n_th, a_e=0.0, b_e=n_bar_o, n_bar_o=b_e
         )
         swapped_op = OperatingPoint(gamma_e=go, gamma_o=ge)
-        up = noise.n_add_up_ideal(swapped_params, swapped_op, swapped_env)
+        up = noise.evaluate(noise.MODEL_IDEAL_UP, swapped_params, swapped_op, swapped_env)
         assert up.total == pytest.approx(down.total, rel=1e-12)
         assert up.motional == pytest.approx(down.motional, rel=1e-12)
 
@@ -119,7 +122,7 @@ def test_down_ideal_matched_unit_occupancy():
     # terms are 0 + 0 + 1 + 4 - 4 = 1
     env = NoiseEnvironment(n_th_gamma_m=0.0, a_e=0.0, b_e=1.0)
     op = OperatingPoint(gamma_e=5e3, gamma_o=5e3)
-    budget = noise.n_add_down_ideal(lossless_params(), op, env)
+    budget = noise.evaluate(noise.MODEL_IDEAL_DOWN, lossless_params(), op, env)
     assert budget.motional == pytest.approx(1.0, rel=1e-12)
     assert budget.electromagnetic == pytest.approx(4.0, rel=1e-12)
     assert budget.correlation == pytest.approx(4.0, rel=1e-12)
@@ -141,8 +144,8 @@ def test_down_ideal_equals_combined_random():
             n_bar_o=rng.uniform(0.0, 1.0),
         )
         op = OperatingPoint(gamma_e=ge, gamma_o=go)
-        ideal = noise.n_add_down_ideal(params, op, env)
-        combined = noise.n_add_down_combined(params, op, env)
+        ideal = noise.evaluate(noise.MODEL_IDEAL_DOWN, params, op, env)
+        combined = noise.evaluate(noise.MODEL_IDEAL_DOWN_COMBINED, params, op, env)
         assert combined.total == pytest.approx(ideal.total, rel=1e-12)
     assert params_base.gamma_m == 0.0  # equivalence needs Gamma_T = Ge + Go
 
@@ -150,7 +153,7 @@ def test_down_ideal_equals_combined_random():
 def test_down_combined_em_free_limit():
     env = NoiseEnvironment(n_th_gamma_m=1e4, a_e=0.0, b_e=0.0, n_bar_o=0.3)
     op = OperatingPoint(gamma_e=2e3, gamma_o=4e3)
-    budget = noise.n_add_down_combined(lossless_params(), op, env)
+    budget = noise.evaluate(noise.MODEL_IDEAL_DOWN_COMBINED, lossless_params(), op, env)
     assert budget.total == pytest.approx(1e4 / 4e3 + 0.3, rel=1e-12)
     assert budget.electromagnetic == 0.0
 
@@ -162,7 +165,7 @@ def test_down_combined_diverges_at_high_microwave_drive():
     totals = []
     for ge in (1e3, 1e4, 1e5, 1e6):
         op = OperatingPoint(gamma_e=ge, gamma_o=1e3)
-        totals.append(noise.n_add_down_combined(params, op, env).total)
+        totals.append(noise.evaluate(noise.MODEL_IDEAL_DOWN_COMBINED, params, op, env).total)
     assert all(b > a for a, b in zip(totals, totals[1:]))
     assert totals[-1] > 100 * totals[0]
 
@@ -173,8 +176,8 @@ def test_lossy_down_reduces_to_ideal():
     )
     op = OperatingPoint(gamma_e=3e3, gamma_o=7e3)
     params = lossless_params(n_min_e=0.03, n_min_o=0.02)
-    lossy = noise.n_add_down_lossy(params, op, env)
-    ideal = noise.n_add_down_ideal(params, op, env)
+    lossy = noise.evaluate(noise.MODEL_LOSSY_DOWN, params, op, env)
+    ideal = noise.evaluate(noise.MODEL_IDEAL_DOWN, params, op, env)
     assert lossy.total == pytest.approx(ideal.total, rel=1e-12)
     assert lossy.motional == pytest.approx(ideal.motional, rel=1e-12)
     assert lossy.correlation == pytest.approx(ideal.correlation, rel=1e-12)
@@ -184,7 +187,7 @@ def test_lossy_up_reduces_to_ideal_plus_locking():
     env = NoiseEnvironment(n_th_gamma_m=2e4, n_lock_gamma_lock=5e3, a_e=0.0, b_e=0.4)
     op = OperatingPoint(gamma_e=3e3, gamma_o=7e3)
     params = lossless_params(n_min_e=0.0, n_min_o=0.1)
-    lossy = noise.n_add_up_lossy(params, op, env)
+    lossy = noise.evaluate(noise.MODEL_LOSSY_UP, params, op, env)
     expected = (2e4 + 5e3) / 3e3 + 0.4 + 0.1 * 7e3 / 3e3
     assert lossy.total == pytest.approx(expected, rel=1e-12)
     assert lossy.electromagnetic == 0.0
@@ -196,8 +199,8 @@ def test_lossy_down_locking_term_linearity():
     op = OperatingPoint(gamma_e=3e3, gamma_o=7e3)
     env1 = NoiseEnvironment(n_th_gamma_m=1e4, n_lock_gamma_lock=2e3, a_e=1e-5, b_e=0.2)
     env2 = NoiseEnvironment(n_th_gamma_m=1e4, n_lock_gamma_lock=4e3, a_e=1e-5, b_e=0.2)
-    b1 = noise.n_add_down_lossy(params, op, env1)
-    b2 = noise.n_add_down_lossy(params, op, env2)
+    b1 = noise.evaluate(noise.MODEL_LOSSY_DOWN, params, op, env1)
+    b2 = noise.evaluate(noise.MODEL_LOSSY_DOWN, params, op, env2)
     denom = params.gain_o * params.eps_mode * (params.kappa_o_ext / params.kappa_o) * op.gamma_o
     assert b2.motional - b1.motional == pytest.approx(2e3 / denom, rel=1e-12)
     assert b2.electromagnetic == b1.electromagnetic
@@ -207,8 +210,8 @@ def test_lossy_down_locking_term_linearity():
 def test_lossy_down_mode_matching_scales_two_terms():
     env = NoiseEnvironment(n_th_gamma_m=1e4, n_lock_gamma_lock=1e3, a_e=1e-5, b_e=0.2)
     op = OperatingPoint(gamma_e=3e3, gamma_o=7e3)
-    full = noise.n_add_down_lossy(lossy_params(eps_mode=1.0), op, env)
-    half = noise.n_add_down_lossy(lossy_params(eps_mode=0.5), op, env)
+    full = noise.evaluate(noise.MODEL_LOSSY_DOWN, lossy_params(eps_mode=1.0), op, env)
+    half = noise.evaluate(noise.MODEL_LOSSY_DOWN, lossy_params(eps_mode=0.5), op, env)
     assert half.motional == pytest.approx(2.0 * full.motional, rel=1e-12)
     assert half.correlation == pytest.approx(2.0 * full.correlation, rel=1e-12)
     assert half.electromagnetic == pytest.approx(full.electromagnetic, rel=1e-12)
@@ -218,7 +221,7 @@ def test_lossy_up_vanishes_at_large_gamma_e():
     params = lossless_params()
     env = NoiseEnvironment(n_th_gamma_m=1e4, n_lock_gamma_lock=1e3)
     totals = [
-        noise.n_add_up_lossy(params, OperatingPoint(gamma_e=ge, gamma_o=0.0), env).total
+        noise.evaluate(noise.MODEL_LOSSY_UP, params, OperatingPoint(ge, 0.0), env).total
         for ge in (1e4, 1e6, 1e8)
     ]
     assert totals[0] > totals[1] > totals[2]
@@ -232,7 +235,7 @@ def test_up_ideal_monotone_for_constant_occupancy():
     env = NoiseEnvironment(n_th_gamma_m=1e4, a_e=0.0, b_e=0.5)
     ge_values = np.geomspace(1e2, 1e6, 40)
     totals = [
-        noise.n_add_up_ideal(params, OperatingPoint(gamma_e=g, gamma_o=1e3), env).total
+        noise.evaluate(noise.MODEL_IDEAL_UP, params, OperatingPoint(g, 1e3), env).total
         for g in ge_values
     ]
     assert all(b < a for a, b in zip(totals, totals[1:]))
@@ -244,7 +247,7 @@ def test_up_ideal_unique_interior_minimum_with_slope():
     ge_values = np.geomspace(1e2, 1e7, 300)
     totals = np.array(
         [
-            noise.n_add_up_ideal(params, OperatingPoint(gamma_e=g, gamma_o=1e3), env).total
+            noise.evaluate(noise.MODEL_IDEAL_UP, params, OperatingPoint(g, 1e3), env).total
             for g in ge_values
         ]
     )
@@ -256,24 +259,28 @@ def test_up_ideal_unique_interior_minimum_with_slope():
 def test_zero_gamma_rejected():
     env = NoiseEnvironment(n_th_gamma_m=1e3)
     with pytest.raises(ValueError, match="gamma_e"):
-        noise.n_add_up_ideal(lossless_params(), OperatingPoint(0.0, 1e3), env)
+        noise.evaluate(noise.MODEL_IDEAL_UP, lossless_params(), OperatingPoint(0.0, 1e3), env)
     with pytest.raises(ValueError, match="gamma_o"):
-        noise.n_add_down_combined(lossless_params(), OperatingPoint(1e3, 0.0), env)
+        noise.evaluate(
+            noise.MODEL_IDEAL_DOWN_COMBINED, lossless_params(), OperatingPoint(1e3, 0.0), env
+        )
 
 
 def test_nonfinite_intermediate_aborts_with_term_name():
     params = lossless_params(n_min_o=math.inf)
     env = NoiseEnvironment(n_th_gamma_m=1e3)
     with pytest.raises(BudgetAssemblyError, match="motional"):
-        noise.n_add_up_ideal(params, OperatingPoint(1e3, 1e3), env)
+        noise.evaluate(noise.MODEL_IDEAL_UP, params, OperatingPoint(1e3, 1e3), env)
 
 
 def test_evaluate_dispatch():
     env = NoiseEnvironment(n_th_gamma_m=1e3)
     op = OperatingPoint(1e3, 1e3)
     params = lossless_params()
-    direct = noise.n_add_up_ideal(params, op, env)
+    direct = assemble_budget(*noise.terms(noise.MODEL_IDEAL_UP, params, env, 1e3, 1e3), "up")
     via = noise.evaluate(noise.MODEL_IDEAL_UP, params, op, env)
     assert via == direct
     with pytest.raises(ValueError, match="unknown noise model"):
         noise.evaluate("bogus", params, op, env)
+    with pytest.raises(ValueError, match="unknown noise model"):
+        noise.terms("bogus", params, env, 1e3, 1e3)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quduct import noise, optimize
+from quduct.config import load_config
 from quduct.core import (
     DeviceParams,
+    InconsistentBudgetWarning,
     NoiseEnvironment,
     OperatingPoint,
     TWO_PI,
@@ -13,6 +17,7 @@ from quduct.core import (
     bandwidth_hz,
     rate_from_hz,
 )
+from quduct.registry import bundled_registry_path
 
 
 def clean_params(**overrides):
@@ -77,7 +82,7 @@ def test_optimize_up_gradient_vanishes_at_optimum():
 
     def total(gamma_e):
         op = OperatingPoint(gamma_e=gamma_e, gamma_o=rate_from_hz(11e3))
-        return noise.n_add_up_lossy(params, op, CAL_ENV).total
+        return noise.evaluate(noise.MODEL_LOSSY_UP, params, op, CAL_ENV).total
 
     h = 1e-5 * g
     grad = (total(g + h) - total(g - h)) / (2 * h)
@@ -142,6 +147,33 @@ def test_optimize_down_flat_objective():
     assert result.budget.total == pytest.approx(0.4, rel=1e-12)
 
 
+def _axis(value, n):
+    return list(np.geomspace(*value, n)) if isinstance(value, tuple) else [value]
+
+
+def _per_point_rows(spec, params, env):
+    """The sweep table computed one point at a time through the scalar path.
+
+    A point that noise.evaluate rejects gets nan in the four noise columns.
+    """
+    rows = []
+    for ge in _axis(spec.gamma_e, spec.n_samples):
+        for go in _axis(spec.gamma_o, spec.n_samples):
+            op = OperatingPoint(gamma_e=ge, gamma_o=go, duty=spec.duty)
+            theta = apparent_efficiency(params, op) * bandwidth_hz(params, op) * spec.duty
+            try:
+                b = noise.evaluate(spec.model, params, op, env)
+                terms = [b.total, b.motional, b.electromagnetic, b.correlation]
+            except ValueError:
+                terms = [math.nan] * 4
+            rows.append([ge, go, theta, *terms])
+    return rows
+
+
+def _swept_rows(columns):
+    return [list(row) for row in zip(*(column.tolist() for column in columns.values()))]
+
+
 def test_sweep_u_shape_and_rederivability():
     params = clean_params()
     spec = optimize.SweepSpec(
@@ -150,22 +182,23 @@ def test_sweep_u_shape_and_rederivability():
         n_samples=60,
         model=noise.MODEL_LOSSY_UP,
     )
-    points = optimize.sweep(spec, params, CAL_ENV)
-    assert len(points) == 60
-    totals = np.array([p.n_add_total for p in points])
+    columns = optimize.sweep(spec, params, CAL_ENV)
+    totals = columns["total"]
+    assert len(totals) == 60
     sign_flips = np.count_nonzero(np.diff(np.sign(np.diff(totals))) != 0)
     assert sign_flips == 1  # U shape: falls then rises
 
     # every stored value re-derives from the public operations
-    for p in points[::7]:
-        budget = noise.evaluate(spec.model, params, p.op, CAL_ENV)
-        assert budget.total == p.n_add_total
-        eta = apparent_efficiency(params, p.op)
-        assert p.throughput_hz == eta * bandwidth_hz(params, p.op) * p.op.duty
+    for i in range(0, 60, 7):
+        op = OperatingPoint(columns["gamma_e"][i], columns["gamma_o"][i], spec.duty)
+        budget = noise.evaluate(spec.model, params, op, CAL_ENV)
+        assert budget.total == totals[i]
+        eta = apparent_efficiency(params, op)
+        assert columns["throughput_hz"][i] == eta * bandwidth_hz(params, op) * op.duty
 
 
 def test_sweep_minimum_near_stationarity_point():
-    points = optimize.sweep(
+    columns = optimize.sweep(
         optimize.SweepSpec(
             gamma_e=(rate_from_hz(1e3), rate_from_hz(1e6)),
             gamma_o=rate_from_hz(11e3),
@@ -175,14 +208,14 @@ def test_sweep_minimum_near_stationarity_point():
         clean_params(),
         CAL_ENV,
     )
-    best = min(points, key=lambda p: p.n_add_total)
-    assert best.op.gamma_e == pytest.approx(GAMMA_E_STAR, rel=0.05)
+    best = columns["gamma_e"][np.argmin(columns["total"])]
+    assert best == pytest.approx(GAMMA_E_STAR, rel=0.05)
 
 
 def test_sweep_matched_lossless_efficiency_is_unity():
     params = clean_params()
     env = NoiseEnvironment(n_th_gamma_m=1.0)
-    points = optimize.sweep(
+    columns = optimize.sweep(
         optimize.SweepSpec(
             gamma_e=(1e3, 1e3 + 1e-6),
             gamma_o=1e3,
@@ -192,11 +225,10 @@ def test_sweep_matched_lossless_efficiency_is_unity():
         params,
         env,
     )
-    (point,) = points
-    assert apparent_efficiency(params, point.op) == pytest.approx(1.0, rel=1e-9)
-    assert point.throughput_hz == pytest.approx(
-        bandwidth_hz(params, point.op), rel=1e-9
-    )
+    ((gamma_e, gamma_o, throughput_hz, *_),) = _swept_rows(columns)
+    op = OperatingPoint(gamma_e, gamma_o)
+    assert apparent_efficiency(params, op) == pytest.approx(1.0, rel=1e-9)
+    assert throughput_hz == pytest.approx(bandwidth_hz(params, op), rel=1e-9)
 
 
 def test_sweep_single_sample_equals_direct_evaluation():
@@ -207,31 +239,78 @@ def test_sweep_single_sample_equals_direct_evaluation():
         n_samples=1,
         model=noise.MODEL_LOSSY_DOWN,
     )
-    (point,) = optimize.sweep(spec, params, CAL_ENV)
-    direct = noise.n_add_down_lossy(
-        params, OperatingPoint(rate_from_hz(8e3), rate_from_hz(11e3)), CAL_ENV
-    )
-    assert point.budget == direct
-
-
-def test_sweep_collects_per_point_failures():
-    # negative occupancy at large gamma_e: those points carry an error
-    params = clean_params()
-    env = NoiseEnvironment(n_th_gamma_m=1e3, a_e=-1e-7, b_e=0.2)
-    points = optimize.sweep(
-        optimize.SweepSpec(
-            gamma_e=(1e4, 1e9),
-            gamma_o=1e4,
-            n_samples=30,
-            model=noise.MODEL_IDEAL_UP,
-        ),
+    columns = optimize.sweep(spec, params, CAL_ENV)
+    direct = noise.evaluate(
+        noise.MODEL_LOSSY_DOWN,
         params,
-        env,
+        OperatingPoint(rate_from_hz(8e3), rate_from_hz(11e3)),
+        CAL_ENV,
     )
-    failed = [p for p in points if p.error is not None]
-    ok = [p for p in points if p.error is None]
-    assert failed and ok
-    assert all(math.isnan(p.n_add_total) for p in failed)
+    for name in ("total", "motional", "electromagnetic", "correlation"):
+        assert columns[name].tolist() == [getattr(direct, name)]
+
+
+# the bundled example device and environment, with the occupancy slope
+# made negative so that n_bar_e < 0 above gamma_e = 0.7 / 1e-5 Hz
+EXAMPLE = load_config(bundled_registry_path().parent / "example_device.cfg")
+NEGATIVE_SLOPE_ENV = dataclasses.replace(EXAMPLE.environment, a_e=-1e-5 / TWO_PI)
+
+
+@pytest.mark.parametrize("kind", noise.MODEL_KINDS)
+def test_sweep_matches_per_point_evaluation(kind):
+    spec = optimize.SweepSpec(
+        gamma_e=(rate_from_hz(100.0), rate_from_hz(1e7)),
+        gamma_o=(rate_from_hz(100.0), rate_from_hz(1e7)),
+        n_samples=40,
+        model=kind,
+        duty=0.3,
+    )
+    swept = _swept_rows(optimize.sweep(spec, EXAMPLE.device, NEGATIVE_SLOPE_ENV))
+    expected = _per_point_rows(spec, EXAMPLE.device, NEGATIVE_SLOPE_ENV)
+    assert [list(map(repr, row)) for row in swept] == [
+        [repr(float(x)) for x in row] for row in expected
+    ]
+    nan_rows = [row for row in swept if math.isnan(row[3])]
+    assert 0 < len(nan_rows) < len(swept)  # negative occupancy at large gamma_e
+    assert all(math.isnan(x) for row in nan_rows for x in row[3:])
+
+
+@pytest.mark.parametrize("field, value", [("eta_m", 0.0), ("gain_e", -1.0)])
+def test_sweep_device_the_model_rejects_gives_all_nan_rows(field, value):
+    params = dataclasses.replace(EXAMPLE.device, **{field: value})
+    spec = optimize.SweepSpec(
+        gamma_e=(1e3, 1e6),
+        gamma_o=(1e3, 1e6),
+        n_samples=6,
+        model=noise.MODEL_LOSSY_DOWN,
+    )
+    swept = _swept_rows(optimize.sweep(spec, params, EXAMPLE.environment))
+    expected = _per_point_rows(spec, params, EXAMPLE.environment)
+    assert [list(map(repr, row)) for row in swept] == [
+        [repr(float(x)) for x in row] for row in expected
+    ]
+    assert all(math.isnan(x) for row in swept for x in row[3:])
+    assert all(math.isfinite(x) for row in swept for x in row[:3])
+
+
+def test_sweep_warns_once_on_negative_totals():
+    # a tiny microwave extraction ratio drops the electromagnetic term
+    # while the correlation term stays, so the totals go negative
+    params = dataclasses.replace(EXAMPLE.device, kappa_e_ext=rate_from_hz(1e3))
+    env = NoiseEnvironment(n_th_gamma_m=0.0, a_e=EXAMPLE.environment.a_e, b_e=5.0)
+    spec = optimize.SweepSpec(
+        gamma_e=(1e3, 1e7),
+        gamma_o=(1e3, 1e7),
+        n_samples=10,
+        model=noise.MODEL_LOSSY_DOWN,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        columns = optimize.sweep(spec, params, env)
+    assert [w.category for w in caught] == [InconsistentBudgetWarning]
+    negative = np.count_nonzero(columns["total"] < 0)
+    assert 0 < negative < 100
+    assert f"negative at {negative} of 100 points" in str(caught[0].message)
 
 
 def test_sweep_both_grid():
@@ -241,8 +320,8 @@ def test_sweep_both_grid():
         n_samples=5,
         model=noise.MODEL_IDEAL_DOWN,
     )
-    points = optimize.sweep(spec, clean_params(), CAL_ENV)
-    assert len(points) == 25
+    columns = optimize.sweep(spec, clean_params(), CAL_ENV)
+    assert [len(column) for column in columns.values()] == [25] * 7
 
 
 @pytest.mark.parametrize(
@@ -257,13 +336,9 @@ def test_sweep_runs_gamma_e_major(gamma_e, gamma_o):
         n_samples=4,
         model=noise.MODEL_IDEAL_DOWN,
     )
-
-    def axis(value):
-        return list(np.geomspace(*value, 4)) if isinstance(value, tuple) else [value]
-
-    points = optimize.sweep(spec, clean_params(), CAL_ENV)
-    expected = [(ge, go) for ge in axis(gamma_e) for go in axis(gamma_o)]
-    assert [(p.op.gamma_e, p.op.gamma_o) for p in points] == expected
+    columns = optimize.sweep(spec, clean_params(), CAL_ENV)
+    expected = [(ge, go) for ge in _axis(gamma_e, 4) for go in _axis(gamma_o, 4)]
+    assert list(zip(columns["gamma_e"].tolist(), columns["gamma_o"].tolist())) == expected
 
 
 def test_sweep_spec_validation():
@@ -273,3 +348,5 @@ def test_sweep_spec_validation():
         optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o="1e3", n_samples=5)  # a number
     with pytest.raises(ValueError, match="gamma_e needs an increasing positive"):
         optimize.SweepSpec(gamma_e=(1e4, 1e3), gamma_o=1.0, n_samples=5)
+    with pytest.raises(ValueError, match=r"duty cycle must be in \(0, 1\], got 0.0"):
+        optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o=1.0, n_samples=5, duty=0.0)

@@ -184,3 +184,16 @@ def test_spectrum_csv_rejects_nonuniform(tmp_path):
     path.write_text("value,freq_hz\n0.0,1.0\n")
     with pytest.raises(ValueError, match="header"):
         read_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("row", ["4.0,nan", "4.0,inf", "nan,1.0"])
+def test_spectrum_csv_names_the_line_of_a_nonfinite_value(tmp_path, row):
+    from quduct.spectra import read_spectrum_csv
+
+    path = tmp_path / "spectrum.csv"
+    rows = [f"{f!r},1.0" for f in range(50)]
+    rows[4] = row  # file line 6, after the header
+    path.write_text("freq_hz,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path} line 6: {row} is not finite"
