@@ -31,6 +31,21 @@ LN2 = math.log(2.0)
 _TRUNCATION_FRACTION = 1e-8
 
 
+def _check_domain(eta=0.0, n_add=0.0) -> None:
+    """Fail naming the first eta outside [0, 1), then the first n_add below 0.
+
+    Takes floats or broadcastable arrays; nan fails for both.
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    n_add = np.asarray(n_add, dtype=np.float64)
+    for name, value, ok, domain in (
+        ("eta", eta, (eta >= 0.0) & (eta < 1.0), "in [0, 1)"),
+        ("n_add", n_add, n_add >= 0.0, "nonnegative"),
+    ):
+        if not ok.all():
+            raise ValueError(f"{name} must be {domain}, got {value[~ok].flat[0]}")
+
+
 def _capacity_bound(eta, n_add) -> np.ndarray:
     """Per-use capacity upper bound of a thermal-loss channel, elementwise.
 
@@ -65,10 +80,7 @@ class ChannelSpec:
     duty: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must be in [0, 1), got {self.eta}")
-        if not self.n_add >= 0.0:
-            raise ValueError(f"n_add must be nonnegative, got {self.n_add}")
+        _check_domain(self.eta, self.n_add)
         if not self.bandwidth_hz > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if not 0.0 < self.duty <= 1.0:
@@ -79,45 +91,33 @@ class ChannelSpec:
         return self.eta * self.bandwidth_hz * self.duty
 
 
-def cap_ub_point(eta: float, n_add: float) -> float:
-    """Capacity upper bound in qubits per channel use at one frequency.
+def cap_ub_grid(eta, n_add) -> np.ndarray:
+    """Capacity upper bound in qubits per use at one frequency, over floats or arrays.
 
     Zero for n_add >= 1.  eta = 1 is rejected; use
     :func:`cap_integrated_high_eta_limit` for the unit-transmissivity
     limit of the integrated rate.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1), got {eta}")
-    if not n_add >= 0.0:
-        raise ValueError(f"n_add must be nonnegative, got {n_add}")
-    return float(_capacity_bound(eta, n_add))
-
-
-def cap_ub_grid(eta, n_add) -> np.ndarray:
-    """Elementwise :func:`cap_ub_point` over broadcastable arrays."""
-    eta = np.asarray(eta, dtype=float)
-    n_add = np.asarray(n_add, dtype=float)
-    # written so that nan fails as in cap_ub_point
-    if not np.all((eta >= 0.0) & (eta < 1.0)):
-        raise ValueError("eta values must lie in [0, 1)")
-    if not np.all(n_add >= 0.0):
-        raise ValueError("n_add values must be nonnegative")
+    _check_domain(eta, n_add)
     return _capacity_bound(eta, n_add)
 
 
-def _small_eta_slope(n_add: float) -> float:
-    """(1 - N + N ln N) / ln 2, the per-Hz capacity slope as eta -> 0.
+def cap_ub_point(eta: float, n_add: float) -> float:
+    """:func:`cap_ub_grid` at one point, as a float."""
+    return float(cap_ub_grid(eta, n_add))
 
-    Zero for N >= 1, where the channel has no quantum capacity.
+
+def _small_eta_slope(n_add) -> np.ndarray:
+    """(1 - N + N ln N) / ln 2 elementwise, the per-Hz capacity slope as eta -> 0.
+
+    1 / ln 2 at N = 0; zero for N >= 1, where the channel has no quantum capacity.
     """
-    if not n_add >= 0.0:
-        raise ValueError(f"n_add must be nonnegative, got {n_add}")
-    if n_add >= 1.0:
-        return 0.0
-    if n_add == 0.0:
-        return 1.0 / LN2
-    g = 1.0 - n_add + n_add * math.log(n_add)
-    return max(g, 0.0) / LN2
+    _check_domain(n_add=n_add)
+    n_add = np.asarray(n_add, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at N = 0
+        g = 1.0 - n_add + n_add * np.log(n_add)
+    g = np.where(n_add == 0.0, 1.0, np.maximum(g, 0.0))
+    return np.where(n_add >= 1.0, 0.0, g / LN2)
 
 
 def cap_integrated_closed(spec: ChannelSpec) -> float:
@@ -158,25 +158,14 @@ def cap_integrated_high_eta_limit(
     return duty * TWO_PI * bandwidth_hz / LN2 * (1.0 - math.sqrt(n_add)) ** 2
 
 
-def cap_small_eta(n_add: float, throughput_hz: float) -> float:
+def cap_small_eta(n_add, throughput_hz):
     """Small-efficiency integrated bound, qubits/s, linear in throughput.
 
-    (pi * throughput / ln 2) * (1 - N + N ln N); the N = 0 value is
-    pi * throughput / ln 2, and the rate is 0 for N >= 1.
+    (pi * throughput / ln 2) * (1 - N + N ln N) over floats or
+    broadcastable arrays; the N = 0 value is pi * throughput / ln 2, and
+    the rate is 0 for N >= 1.
     """
     return math.pi * throughput_hz * _small_eta_slope(n_add)
-
-
-def cap_small_eta_rows(throughputs_hz, n_add):
-    """:func:`cap_small_eta` over the ``n_add`` values, one array per throughput.
-
-    The slopes are taken once, with the scalar logarithm of
-    :func:`cap_small_eta` (np.log differs from math.log in the last ulp on
-    some arguments), so every value equals ``cap_small_eta`` bit for bit.
-    Bad ``n_add`` fails here, before the first row.
-    """
-    slopes = np.array([_small_eta_slope(n) for n in n_add])
-    return (math.pi * throughput_hz * slopes for throughput_hz in throughputs_hz)
 
 
 def cap_integrated_quadrature(spec: ChannelSpec) -> float:
@@ -223,7 +212,7 @@ def cap_integrated_quadrature(spec: ChannelSpec) -> float:
     else:
         raise RuntimeError("quadrature panel refinement did not converge")
 
-    tail = _small_eta_slope(n_add) * eta * (0.5 * math.pi - theta_max)
+    tail = float(_small_eta_slope(n_add)) * eta * (0.5 * math.pi - theta_max)
     return spec.duty * spec.bandwidth_hz * 2.0 * (value + tail)
 
 
@@ -259,7 +248,7 @@ def capacity_contours(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n_grid = np.linspace(n_lo, n_hi, n_samples)
-    slope = (1.0 - n_grid + n_grid * np.log(n_grid)) / LN2
+    slope = _small_eta_slope(n_grid)
     lines = []
     for level in levels:
         if level <= 0:

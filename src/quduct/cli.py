@@ -9,7 +9,8 @@ identical inputs give byte-identical output.
 A handler returns what it computed (CSV text, a ``(header, rows)`` table
 or a list of lines), which is written in one piece once it has returned,
 so a failure leaves stdout empty.  validate and filter-analysis write
-through :func:`_write` themselves and return the exit status.
+through :func:`_write` themselves and return the exit status.  Warnings
+go to stderr as ``warning: <message>`` lines.
 
 Exit status: 0 on success, 1 on validation or evaluation failure,
 2 on usage errors.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .capacity import (
     cap_integrated_closed,
     cap_integrated_quadrature,
     cap_small_eta,
-    cap_small_eta_rows,
     cap_ub_grid,
     cap_ub_point,
 )
@@ -127,6 +128,14 @@ def _resolve_op(args, cfg) -> OperatingPoint:
     )
 
 
+def _load_valid_config(path):
+    """:func:`load_config`, failing on a device that :func:`validate_device` rejects."""
+    cfg = load_config(path)
+    if report := validate_device(cfg.device):
+        raise ValueError(f"{path} fails validation: {'; '.join(report)}")
+    return cfg
+
+
 def _cmd_validate(args) -> int:
     report = validate_device(load_config(args.config).device)
     _write([f"violation: {item}" for item in report] or ["ok"])
@@ -134,7 +143,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_noise(args):
-    cfg = load_config(args.config)
+    cfg = _load_valid_config(args.config)
     op = _resolve_op(args, cfg)
     model = _model_for(args.direction, args.model)
     budget = noise.evaluate(model, cfg.device, op, cfg.environment)
@@ -146,7 +155,7 @@ def _cmd_noise(args):
 
 
 def _cmd_sweep(args):
-    cfg = load_config(args.config)
+    cfg = _load_valid_config(args.config)
     model = _model_for(args.direction, args.model)
     unused = f"is not used with --variable {args.variable}"
     gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
@@ -182,7 +191,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_optimize(args):
-    cfg = load_config(args.config)
+    cfg = _load_valid_config(args.config)
     bracket = _rate_range(args.bracket_hz, "--bracket-hz")
     if args.direction == "up":
         if args.gamma_o_hz is None:
@@ -226,9 +235,9 @@ def _cmd_capacity(args):
         if args.grid_n_add is None:
             raise ValueError("grid mode needs --grid-n-add LOW:HIGH:N")
         n_values = np.linspace(*_parse_triplet(args.grid_n_add, "--grid-n-add"))
-        # one array operation per grid row, each row formatted as it is
-        # written, so no whole-grid array is ever held
         if args.grid_eta:
+            # one array operation per grid row, each row formatted as it is
+            # written, so no whole-grid array is ever held
             etas = np.linspace(*_parse_triplet(args.grid_eta, "--grid-eta"))
             return ["eta", "n_add", "c_ub"], (
                 (eta, n_add, c)
@@ -236,10 +245,12 @@ def _cmd_capacity(args):
                 for n_add, c in zip(n_values, cap_ub_grid(eta, n_values))
             )
         thetas = np.geomspace(*_parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz"))
+        # one call takes the slopes once and checks n_add even when there are no rows
+        caps = cap_small_eta(n_values, thetas[:, None])
         return ["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
             (theta, n_add, cap, "small-eta")
-            for theta, caps in zip(thetas, cap_small_eta_rows(thetas, n_values))
-            for n_add, cap in zip(n_values, caps)
+            for theta, row in zip(thetas, caps)
+            for n_add, cap in zip(n_values, row)
         )
 
     _reject_given(args, ("--grid-n-add",), "is not used in point mode")
@@ -247,8 +258,10 @@ def _cmd_capacity(args):
         raise ValueError("point mode needs --eta and --n-add")
     point = cap_ub_point(args.eta, args.n_add)
     if args.bandwidth_hz is None:
+        _reject_given(args, ("--duty", "--form"), "is not used without --bandwidth-hz")
         return ["eta", "n_add", "c_ub"], [[args.eta, args.n_add, point]]
-    # --duty and --form have no parser default, so that grid mode sees them given
+    # --duty and --form have no parser default, so that the modes that
+    # ignore them see them given
     duty = 1.0 if args.duty is None else args.duty
     spec = ChannelSpec(args.eta, args.n_add, args.bandwidth_hz, duty)
     form = args.form or "closed"
@@ -372,7 +385,7 @@ def _cmd_compare(args):
         records += registry.load_registry(registry.external_upconversion_path())
     live = []
     if args.config:
-        cfg = load_config(args.config)
+        cfg = _load_valid_config(args.config)
         model = _model_for(args.direction, "lossy")
         for name, op in sorted(cfg.operating_points.items()):
             budget = noise.evaluate(model, cfg.device, op, cfg.environment)
@@ -515,16 +528,19 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
-    try:
-        output = args.fn(args)
-        if isinstance(output, int):
-            return output
-        _write(output, getattr(args, "out", None))
-        return 0
-    except (ValueError, RuntimeError, OSError) as exc:
-        # ConfigError and RegistryError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning, without the library source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            output = args.fn(args)
+            if isinstance(output, int):
+                return output
+            _write(output, getattr(args, "out", None))
+            return 0
+        except (ValueError, RuntimeError, OSError) as exc:
+            # ConfigError and RegistryError are ValueErrors
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

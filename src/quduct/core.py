@@ -195,7 +195,7 @@ def assemble_budget(
     total = motional + electromagnetic - correlation
     if total < 0:
         warnings.warn(
-            f"noise budget total is negative ({total:.4g}); inputs are inconsistent",
+            "noise budget total is negative; inputs are inconsistent",
             InconsistentBudgetWarning,
             stacklevel=2,
         )

@@ -255,20 +255,13 @@ def averaged_added_noise(
         raise ValueError("spectra must share a grid")
     f = n_add.grid.frequencies()
     keep = np.ones(f.size, dtype=bool) if exclude is None else ~exclude.excluded(f)
-    numerator = 0.0
-    denominator = 0.0
-    h = n_add.grid.spacing_hz
-    run_start = None
-    for i in range(len(f) + 1):
-        inside = i < len(f) and keep[i]
-        if inside and run_start is None:
-            run_start = i
-        elif not inside and run_start is not None:
-            sl = slice(run_start, i)
-            w = efficiency.values[sl]
-            numerator += float(np.trapezoid(n_add.values[sl] * w, dx=h))
-            denominator += float(np.trapezoid(w, dx=h))
-            run_start = None
+    # trapezoid weights: each interval with both ends kept gives h/2 to each end
+    half = np.where(keep[1:] & keep[:-1], 0.5 * n_add.grid.spacing_hz, 0.0)
+    weights = np.zeros(f.size)
+    weights[1:] += half
+    weights[:-1] += half
+    numerator = float(np.dot(weights, n_add.values * efficiency.values))
+    denominator = float(np.dot(weights, efficiency.values))
     if denominator <= 0.0:
         raise ValueError("zero total weight: everything excluded or efficiency zero")
     return numerator / denominator

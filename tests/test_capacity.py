@@ -11,7 +11,6 @@ from quduct.capacity import (
     cap_integrated_high_eta_limit,
     cap_integrated_quadrature,
     cap_small_eta,
-    cap_small_eta_rows,
     cap_ub_grid,
     cap_ub_point,
     capacity_contours,
@@ -219,13 +218,14 @@ def test_contour_empty_above_range():
 
 def test_small_eta_rows_match_scalar_form():
     # n_add runs from 0 across 1, where the slope turns to zero; equal lists
-    # of floats mean every cell matches cap_small_eta bit for bit
+    # of floats mean every cell of an array row matches the scalar call bit
+    # for bit
     thetas = np.geomspace(0.5, 2e5, 7)
     n_values = np.linspace(0.0, 1.2, 301)
-    rows = list(cap_small_eta_rows(thetas, n_values))
-    assert len(rows) == thetas.size
-    for theta, row in zip(thetas, rows):
-        assert row.tolist() == [cap_small_eta(n_add, theta) for n_add in n_values]
+    for theta in thetas:
+        row = cap_small_eta(n_values, theta)
+        assert row.shape == n_values.shape
+        assert row.tolist() == [float(cap_small_eta(n_add, theta)) for n_add in n_values]
 
 
 @pytest.mark.parametrize("n_add", [1.0, 1.2, 1.5])
@@ -235,8 +235,7 @@ def test_small_eta_zero_without_quantum_capacity(n_add):
     assert cap_ub_point(0.01, n_add) == 0.0
     assert cap_integrated_closed(ChannelSpec(0.01, n_add, 1.0)) == 0.0
     assert cap_small_eta(n_add, 1.0) == 0.0
-    rows = cap_small_eta_rows([1.0, 10.0], [n_add])
-    assert [row.tolist() for row in rows] == [[0.0], [0.0]]
+    assert cap_small_eta(np.full(2, n_add), np.array([1.0, 10.0])).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("n_add", [math.nan, -1.0, -1e-300])
@@ -246,13 +245,34 @@ def test_small_eta_zero_without_quantum_capacity(n_add):
         lambda n: cap_ub_point(0.4, n),
         lambda n: cap_ub_grid([0.1, 0.4], [0.5, n]),
         lambda n: cap_small_eta(n, 1.0),
-        lambda n: cap_small_eta_rows([1.0], [0.5, n]),
+        lambda n: cap_small_eta(np.array([0.5, n]), 1.0),
     ],
-    ids=["cap_ub_point", "cap_ub_grid", "cap_small_eta", "cap_small_eta_rows"],
+    ids=["cap_ub_point", "cap_ub_grid", "cap_small_eta", "cap_small_eta_array"],
 )
 def test_bad_n_add_is_rejected_by_name(call, n_add):
     with pytest.raises(ValueError, match="n_add"):
         call(n_add)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cap_ub_point(1.2, 0.5), "eta must be in [0, 1), got 1.2"),
+        (lambda: cap_ub_point(0.4, -1.0), "n_add must be nonnegative, got -1.0"),
+        (lambda: cap_ub_grid([0.1, 1.5, -2.0], 0.5), "eta must be in [0, 1), got 1.5"),
+        (lambda: cap_ub_grid([[0.1], [math.nan]], [0.5, -1.0]), "eta must be in [0, 1), got nan"),
+        (lambda: cap_ub_grid(0.5, [0.1, -3.0, -1.0]), "n_add must be nonnegative, got -3.0"),
+        (lambda: cap_small_eta(np.array([0.1, math.nan]), 1.0), "n_add must be nonnegative, got nan"),
+        (lambda: ChannelSpec(1.0, -1.0, 1.0), "eta must be in [0, 1), got 1.0"),
+        (lambda: ChannelSpec(0.5, -1.0, 1.0), "n_add must be nonnegative, got -1.0"),
+    ],
+)
+def test_domain_check_names_the_first_bad_value(call, message):
+    # one check serves a point and a grid: eta first, then n_add, each
+    # naming its first value outside the domain
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_closed_unit_conversion_anchor():

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from quduct import filters, noise
+from quduct import filters, noise, optimize, spectra
 from quduct.capacity import (
     ChannelSpec,
     cap_integrated_closed,
@@ -12,11 +16,13 @@ from quduct.capacity import (
 from quduct.cli import cli_dispatch
 from quduct.config import load_config
 from quduct.core import (
+    InconsistentBudgetWarning,
     OperatingPoint,
     apparent_efficiency,
     bandwidth_hz,
     rate_from_hz,
     rate_to_hz,
+    validate_device,
 )
 from quduct.filters import filter_report, impulse_response
 from quduct.registry import bundled_registry_path, contour_csv, csv_text
@@ -139,8 +145,9 @@ def test_capacity_grid_out_of_range_writes_nothing(capsys):
 
 
 def test_capacity_throughput_grid(capsys):
-    # 60 n_add values, enough that a slope taken with np.log instead of
-    # the scalar math.log of cap_small_eta differs in some cell
+    # the CLI takes the whole grid in one array call; rows start at n_add = 0
+    # and cross n_add = 1, where the slope turns to zero, and any ulp of
+    # drift from the scalar call in a cell changes the bytes
     code, out, _ = run(
         capsys, "capacity", "--grid-throughput-hz", "0.5:2e5:10",
         "--grid-n-add", "0:1.2:60",
@@ -245,15 +252,24 @@ def test_capacity_bad_n_add_writes_nothing(capsys, argv):
         (("--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:0.9:3", "--duty", "1"), "--duty"),
         (("--grid-throughput-hz", "1:10:2", "--grid-n-add", "0:0.9:3", "--form", "small-eta"),
          "--form"),
+        (("--eta", "0.4", "--n-add", "0.5", "--duty", "0.5"), "--duty"),
+        (("--eta", "0.4", "--n-add", "0.5", "--form", "quadrature"), "--form"),
     ],
     ids=["both-grids", "grid-eta", "grid-n-add", "grid-bandwidth", "point-grid-n-add",
-         "eta-grid-duty", "eta-grid-form", "throughput-grid-duty", "throughput-grid-form"],
+         "eta-grid-duty", "eta-grid-form", "throughput-grid-duty", "throughput-grid-form",
+         "point-no-bandwidth-duty", "point-no-bandwidth-form"],
 )
 def test_capacity_rejects_flags_its_mode_ignores(capsys, argv, flag):
     code, out, err = run(capsys, "capacity", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+def test_capacity_point_without_bandwidth(capsys):
+    code, out, _ = run(capsys, "capacity", "--eta", "0.4", "--n-add", "0.5")
+    assert code == 0
+    assert out == _csv_lines(["eta", "n_add", "c_ub"], [(0.4, 0.5, cap_ub_point(0.4, 0.5))])
 
 
 def test_capacity_throughput_grid_zero_above_unit_noise(capsys):
@@ -398,6 +414,28 @@ def test_xi_e_cli(capsys):
     assert out.strip() == "xi_e=0.4"
 
 
+SWEEP_HEADER = ["gamma_e_hz", "gamma_o_hz", "throughput_hz", "n_add_total",
+                "n_add_motional", "n_add_em", "n_add_corr"]
+
+
+def _sweep_text(model, gamma_e_values, gamma_o_values, duty=1.0):
+    """Sweep stdout rendered point by point from the library, gamma_e outer."""
+    cfg = load_config(EXAMPLE_CFG)
+    rows = []
+    for gamma_e in gamma_e_values:
+        for gamma_o in gamma_o_values:
+            op = OperatingPoint(gamma_e, gamma_o, duty)
+            b = noise.evaluate(model, cfg.device, op, cfg.environment)
+            theta = apparent_efficiency(cfg.device, op) * bandwidth_hz(cfg.device, op) * op.duty
+            rows.append((rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o), theta,
+                         b.total, b.motional, b.electromagnetic, b.correlation))
+    return _csv_lines(SWEEP_HEADER, rows)
+
+
+def _rates(lo_hz, hi_hz, n):
+    return np.geomspace(rate_from_hz(lo_hz), rate_from_hz(hi_hz), n)
+
+
 def test_sweep_csv_header(capsys):
     code, out, _ = run(
         capsys, "sweep", "--config", EXAMPLE_CFG, "--direction", "up",
@@ -405,19 +443,34 @@ def test_sweep_csv_header(capsys):
         "--gamma-o-hz", "11000",
     )
     assert code == 0
-    assert out.splitlines()[0] == (
-        "gamma_e_hz,gamma_o_hz,throughput_hz,n_add_total,"
-        "n_add_motional,n_add_em,n_add_corr"
+    assert out.splitlines()[0] == ",".join(SWEEP_HEADER)
+    expected = _sweep_text(noise.MODEL_LOSSY_UP, _rates(1000.0, 100000.0, 7),
+                           [rate_from_hz(11000.0)])
+    assert out == expected
+
+
+def test_sweep_gamma_o(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--config", EXAMPLE_CFG, "--direction", "up",
+        "--variable", "gamma-o", "--range-hz", "1000:100000", "--n", "9",
+        "--gamma-e-hz", "8000", "--duty", "0.3",
     )
-    cfg = load_config(EXAMPLE_CFG)
-    rows = []
-    for gamma_e in np.geomspace(rate_from_hz(1000.0), rate_from_hz(100000.0), 7):
-        op = OperatingPoint(gamma_e, rate_from_hz(11000.0))
-        b = noise.evaluate(noise.MODEL_LOSSY_UP, cfg.device, op, cfg.environment)
-        theta = apparent_efficiency(cfg.device, op) * bandwidth_hz(cfg.device, op) * op.duty
-        rows.append((rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o), theta,
-                     b.total, b.motional, b.electromagnetic, b.correlation))
-    assert out == _csv_lines(out.splitlines()[0].split(","), rows)
+    assert code == 0
+    expected = _sweep_text(noise.MODEL_LOSSY_UP, [rate_from_hz(8000.0)],
+                           _rates(1000.0, 100000.0, 9), duty=0.3)
+    assert out == expected
+
+
+def test_sweep_both(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--config", EXAMPLE_CFG, "--direction", "down", "--model", "combined",
+        "--variable", "both", "--range-hz", "1000:100000", "--range2-hz", "500:50000",
+        "--n", "6",
+    )
+    assert code == 0
+    expected = _sweep_text(noise.MODEL_IDEAL_DOWN_COMBINED, _rates(1000.0, 100000.0, 6),
+                           _rates(500.0, 50000.0, 6))
+    assert out == expected
 
 
 # what each --variable mode needs besides --range-hz
@@ -459,6 +512,99 @@ def test_optimize_cli(capsys):
     values = dict(line.split("=") for line in out.strip().splitlines())
     assert values["at_boundary"] == "False"
     assert float(values["gamma_e_hz"]) > 0
+
+
+def _optimum_text(direction, model, result):
+    """``optimize`` stdout rendered from an :class:`OptimumResult`."""
+    budget = result.budget
+    values = {
+        "gamma_e_hz": rate_to_hz(result.op.gamma_e),
+        "gamma_o_hz": rate_to_hz(result.op.gamma_o),
+        "n_add_total": budget.total,
+        "n_add_motional": budget.motional,
+        "n_add_em": budget.electromagnetic,
+        "n_add_corr": budget.correlation,
+    }
+    return "".join([
+        f"direction={direction}\n",
+        f"model={model}\n",
+        *(f"{key}={float(value)!r}\n" for key, value in values.items()),
+        f"at_boundary={result.at_boundary}\n",
+        f"flat_objective={result.flat_objective}\n",
+    ])
+
+
+def test_optimize_down_cli(capsys):
+    code, out, _ = run(
+        capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", "down",
+        "--duty", "0.5", "--ratio-bracket", "0.01:100",
+    )
+    assert code == 0
+    cfg = load_config(EXAMPLE_CFG)
+    result = optimize.optimize_down(
+        cfg.device, cfg.environment,
+        gamma_o_bracket=(rate_from_hz(10.0), rate_from_hz(1e7)), ratio_bracket=(0.01, 100.0),
+        model=noise.MODEL_LOSSY_DOWN, duty=0.5,
+    )
+    assert out == _optimum_text("down", noise.MODEL_LOSSY_DOWN, result)
+
+
+def _write_config(path, **values):
+    """The example config with ``values`` set; a key it lacks goes to [device]."""
+    lines = []
+    for line in Path(EXAMPLE_CFG).read_text().splitlines():
+        key = line.split("=")[0].strip()
+        lines.append(f"{key} = {values.pop(key)!r}" if key in values else line)
+    device = lines.index("[device]") + 1
+    lines[device:device] = [f"{key} = {value!r}" for key, value in values.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_optimize_warns_on_one_stderr_line(tmp_path, child_env):
+    # a tiny microwave extraction ratio and no thermal, locking or slope
+    # terms make the budget total negative at every point the search visits
+    cfg = _write_config(
+        tmp_path / "negative.cfg", kappa_e_ext_hz=1.0e3, b_e=5.0,
+        n_th_gamma_m_hz=0.0, n_lock_gamma_lock_hz=0.0, a_e_per_hz=0.0,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "quduct.cli", "optimize", "--config", cfg, "--direction", "down"],
+        capture_output=True, text=True, env=child_env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: noise budget total is negative; inputs are inconsistent\n"
+    loaded = load_config(cfg)
+    with pytest.warns(InconsistentBudgetWarning):
+        result = optimize.optimize_down(
+            loaded.device, loaded.environment,
+            gamma_o_bracket=(rate_from_hz(10.0), rate_from_hz(1e7)),
+        )
+    assert result.budget.total < 0
+    assert proc.stdout == _optimum_text("down", noise.MODEL_LOSSY_DOWN, result)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("noise", "--direction", "down", "--op", "down"),
+        ("sweep", "--direction", "down", "--range-hz", "10:100", "--gamma-o-hz", "100",
+         "--n", "2"),
+        ("optimize", "--direction", "down"),
+        ("compare", "--direction", "down", "--out-dir", "bundle"),
+    ],
+    ids=["noise", "sweep", "optimize", "compare"],
+)
+def test_device_that_fails_validation_is_not_evaluated(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path / "bad.cfg", kappa_e_ext_hz=2.0e6, gain_e=-1.0)
+    report = validate_device(load_config(cfg).device)
+    assert len(report) == 2
+    code, out, err = run(capsys, *argv, "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {cfg} fails validation: {'; '.join(report)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_optimize_down_rejects_gamma_o(capsys):
@@ -509,3 +655,35 @@ def test_fit_spectrum_cli(tmp_path, capsys):
     fields = dict(line.split("=") for line in out.strip().splitlines())
     assert float(fields["fwhm_hz"]) == pytest.approx(9e3, rel=1e-6)
     assert float(fields["peak_height"]) == pytest.approx(1.3, rel=1e-6)
+
+
+def test_fit_spectrum_efficiency_cli(tmp_path, capsys):
+    f = spectra.FrequencyGrid(1.2e6, 1.34e6, 1401).frequencies()
+    paths = {"spectrum": tmp_path / "spectrum.csv", "efficiency": tmp_path / "efficiency.csv"}
+    values = 0.05 + 1.3 / (1.0 + ((f - 1.27e6) / 4.5e3) ** 2)
+    values[(f >= 1.275e6) & (f <= 1.277e6)] += 20.0
+    paths["spectrum"].write_text(csv_text(spectra.SPECTRUM_CSV_HEADER, zip(f, values)))
+    efficiency = 0.4 / (1.0 + ((f - 1.268e6) / 6e3) ** 2)
+    paths["efficiency"].write_text(csv_text(spectra.SPECTRUM_CSV_HEADER, zip(f, efficiency)))
+    bands = [(1.275e6, 1.277e6), (1.2e6, 1.21e6)]
+    code, out, _ = run(
+        capsys, "fit-spectrum", "--spectrum", str(paths["spectrum"]),
+        *(f"--exclude={lo!r}:{hi!r}" for lo, hi in bands),
+        "--efficiency", str(paths["efficiency"]),
+    )
+    assert code == 0
+    spectrum = spectra.read_spectrum_csv(str(paths["spectrum"]))
+    exclude = spectra.ExclusionBands(bands)
+    fit = spectra.fit_lorentzian(spectrum, exclude)
+    averaged = spectra.averaged_added_noise(
+        spectrum, spectra.read_spectrum_csv(str(paths["efficiency"])), exclude
+    )
+    values = {"center_hz": fit.center_hz, "fwhm_hz": fit.fwhm_hz,
+              "peak_height": fit.peak_height, "floor": fit.floor,
+              "residual_norm": fit.residual_norm}
+    assert out == "".join([
+        *(f"{key}={float(value)!r}\n" for key, value in values.items()),
+        f"converged={fit.converged}\n",
+        f"n_iterations={fit.n_iterations}\n",
+        f"averaged_value={float(averaged)!r}\n",
+    ])

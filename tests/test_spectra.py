@@ -138,6 +138,30 @@ def test_averaged_invariant_under_efficiency_rescale():
     )
 
 
+def test_averaged_matches_trapezoid_per_unexcluded_run():
+    # four bands leave runs of several points and one single kept point,
+    # which spans no interval and so carries no weight
+    eff = _efficiency(0.4, 11e3)
+    spec = _noise_spectrum()
+    f = GRID.frequencies()
+    h = GRID.spacing_hz
+    bands = [(f[0] - 1.0, f[3] + 1.0), (f[100] - 1.0, f[100] + 1.0),
+             (f[102] - 1.0, f[500] + 1.0), (f[1500] - 1.0, f[1800] + 1.0)]
+    keep = ~ExclusionBands(bands).excluded(f)
+    assert keep[101] and not keep[100] and not keep[102]
+    numerator = denominator = 0.0
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], keep.astype(int), [0]))))
+    for start, stop in zip(edges[::2], edges[1::2]):
+        w = eff.values[start:stop]
+        numerator += np.trapezoid(spec.values[start:stop] * w, dx=h)
+        denominator += np.trapezoid(w, dx=h)
+    # both sums add the same positive terms in another order, so each
+    # differs by less than n eps relative
+    assert averaged_added_noise(spec, eff, ExclusionBands(bands)) == pytest.approx(
+        numerator / denominator, rel=2 * GRID.n_points * np.finfo(float).eps
+    )
+
+
 def test_averaged_zero_weight_errors():
     eff = _efficiency(0.4, 11e3)
     spec = _noise_spectrum()
