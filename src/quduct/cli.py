@@ -6,11 +6,14 @@ command line and in all emitted CSV are ordinary frequencies in Hz;
 floats are printed as the shortest decimal that round-trips, so
 identical inputs give byte-identical output.
 
-A handler returns what it computed (CSV text, a ``(header, rows)`` table
-or a list of lines), which is written in one piece once it has returned,
-so a failure leaves stdout empty.  validate and filter-analysis write
-through :func:`_write` themselves and return the exit status.  Warnings
-go to stderr as ``warning: <message>`` lines.
+A handler checks its input and computes every value before it returns
+what it computed: a list of lines, or a table as the CSV chunks of
+:func:`registry.float_table`, which only formats.
+The output is written once the handler has returned, so a failure
+leaves stdout empty and writes no ``--out`` file, and a large table is
+streamed block by block instead of being held as one string.  validate
+and filter-analysis write through :func:`_write` themselves and return
+the exit status.  Warnings go to stderr as ``warning: <message>`` lines.
 
 Exit status: 0 on success, 1 on validation or evaluation failure,
 2 on usage errors.
@@ -52,13 +55,14 @@ def _floats(**values) -> list:
 
 
 def _write(output, path=None) -> None:
-    """Write a handler's output to ``path``, or to stdout without one."""
-    if isinstance(output, tuple):
-        output = registry.csv_text(*output)
-    elif isinstance(output, list):
-        output = "\n".join(output) + "\n"
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(output)
+    """Write a handler's output to ``path``, or to stdout without one.
+
+    ``output`` is a list of lines, or text chunks written one by one.
+    """
+    if isinstance(output, list):
+        output = ["\n".join(output) + "\n"]
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(output)
 
 
 def _parse_pair(text: str, flag: str):
@@ -151,7 +155,7 @@ def _cmd_noise(args):
               "n_add_motional", "n_add_em", "n_add_corr", "n_add_total"]
     row = [budget.direction, model, rate_to_hz(op.gamma_e), rate_to_hz(op.gamma_o),
            budget.motional, budget.electromagnetic, budget.correlation, budget.total]
-    return header, [row]
+    return registry.float_table(header, [row])
 
 
 def _cmd_sweep(args):
@@ -181,19 +185,25 @@ def _cmd_sweep(args):
         model=model,
         duty=args.duty,
     )
-    columns = optimize.sweep(spec, cfg.device, cfg.environment)
-    for rate in ("gamma_e", "gamma_o"):
-        columns[rate] = rate_to_hz(columns[rate])
+    _, _, *values = optimize.sweep(spec, cfg.device, cfg.environment).values()
+    # one block per gamma_e, each over the gamma_o axis, which runs fastest
+    axis_e, axis_o = spec.axes()
+    values = [column.reshape(len(axis_e), len(axis_o)) for column in values]
+    gamma_o_hz = rate_to_hz(axis_o)
     header = ["gamma_e_hz", "gamma_o_hz", "throughput_hz", "n_add_total",
               "n_add_motional", "n_add_em", "n_add_corr"]
     # the columns come in the header's order
-    return header, zip(*(column.tolist() for column in columns.values()))
+    return registry.float_table(header, (
+        [row_gamma_e, gamma_o_hz, *(column[i] for column in values)]
+        for i, row_gamma_e in enumerate(rate_to_hz(axis_e).tolist())
+    ))
 
 
 def _cmd_optimize(args):
     cfg = _load_valid_config(args.config)
     bracket = _rate_range(args.bracket_hz, "--bracket-hz")
     if args.direction == "up":
+        _reject_given(args, ("--ratio-bracket",), "is not used with --direction up")
         if args.gamma_o_hz is None:
             raise ValueError("upconversion optimization needs --gamma-o-hz")
         model = _model_for("up", args.model)
@@ -206,7 +216,10 @@ def _cmd_optimize(args):
         model = _model_for("down", args.model)
         result = optimize.optimize_down(
             cfg.device, cfg.environment, gamma_o_bracket=bracket,
-            ratio_bracket=_parse_pair(args.ratio_bracket, "--ratio-bracket"),
+            ratio_bracket=_parse_pair(
+                "1e-3:1e3" if args.ratio_bracket is None else args.ratio_bracket,
+                "--ratio-bracket",
+            ),
             model=model, duty=args.duty,
         )
     budget = result.budget
@@ -235,23 +248,20 @@ def _cmd_capacity(args):
         if args.grid_n_add is None:
             raise ValueError("grid mode needs --grid-n-add LOW:HIGH:N")
         n_values = np.linspace(*_parse_triplet(args.grid_n_add, "--grid-n-add"))
+        # one call over the whole grid checks both axes, n_add even when
+        # there are no rows, before the first row is formatted; each row
+        # is one block, with n_values formatted once for all of them
         if args.grid_eta:
-            # one array operation per grid row, each row formatted as it is
-            # written, so no whole-grid array is ever held
             etas = np.linspace(*_parse_triplet(args.grid_eta, "--grid-eta"))
-            return ["eta", "n_add", "c_ub"], (
-                (eta, n_add, c)
-                for eta in etas
-                for n_add, c in zip(n_values, cap_ub_grid(eta, n_values))
-            )
+            caps = cap_ub_grid(etas[:, None], n_values)
+            return registry.float_table(["eta", "n_add", "c_ub"], (
+                [eta, n_values, row] for eta, row in zip(etas.tolist(), caps)
+            ))
         thetas = np.geomspace(*_parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz"))
-        # one call takes the slopes once and checks n_add even when there are no rows
         caps = cap_small_eta(n_values, thetas[:, None])
-        return ["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
-            (theta, n_add, cap, "small-eta")
-            for theta, row in zip(thetas, caps)
-            for n_add, cap in zip(n_values, row)
-        )
+        return registry.float_table(["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
+            [theta, n_values, row, "small-eta"] for theta, row in zip(thetas.tolist(), caps)
+        ))
 
     _reject_given(args, ("--grid-n-add",), "is not used in point mode")
     if args.eta is None or args.n_add is None:
@@ -259,7 +269,7 @@ def _cmd_capacity(args):
     point = cap_ub_point(args.eta, args.n_add)
     if args.bandwidth_hz is None:
         _reject_given(args, ("--duty", "--form"), "is not used without --bandwidth-hz")
-        return ["eta", "n_add", "c_ub"], [[args.eta, args.n_add, point]]
+        return registry.float_table(["eta", "n_add", "c_ub"], [[args.eta, args.n_add, point]])
     # --duty and --form have no parser default, so that the modes that
     # ignore them see them given
     duty = 1.0 if args.duty is None else args.duty
@@ -270,7 +280,7 @@ def _cmd_capacity(args):
         "quadrature": cap_integrated_quadrature,
         "small-eta": lambda s: cap_small_eta(s.n_add, s.throughput_hz),
     }[form](spec)
-    return (
+    return registry.float_table(
         ["eta", "n_add", "bandwidth_hz", "duty", "throughput_hz",
          "c_ub", "cap_qubits_per_s", "form"],
         [[spec.eta, spec.n_add, spec.bandwidth_hz, spec.duty,
@@ -279,7 +289,7 @@ def _cmd_capacity(args):
 
 
 def _cmd_contours(args):
-    return registry.contour_csv(
+    return registry.contour_table(
         _levels(args.levels),
         _parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
         _parse_pair(args.n_add_range, "--n-add-range"),
@@ -288,6 +298,8 @@ def _cmd_contours(args):
 
 
 def _cmd_filter_analysis(args) -> int:
+    if args.t_rep_s is not None:
+        _reject_given(args, ("--t-rep-mult",), "is not used with --t-rep-s")
     if args.preset == "paper":
         _reject_given(args, ("--linewidth-hz", "--notch", "--center-hz"),
                       "cannot be combined with --preset paper, which fixes it")
@@ -300,7 +312,9 @@ def _cmd_filter_analysis(args) -> int:
             center_hz=0.0 if args.center_hz is None else args.center_hz,
             notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch or []),
         )
-    t_rep = args.t_rep_s if args.t_rep_s is not None else args.t_rep_mult / spec.gamma_t
+    t_rep = args.t_rep_s
+    if t_rep is None:
+        t_rep = (3.0 if args.t_rep_mult is None else args.t_rep_mult) / spec.gamma_t
     filters.check_t_rep(t_rep)  # before the FFTs, which take most of the run
     # one response serves both the report and the trace
     response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
@@ -325,9 +339,9 @@ def _cmd_filter_analysis(args) -> int:
         ",".join(map(format_float, summary)),
     ], args.out)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            rows = zip(response.times_s, response.energy_density)
-            registry.write_csv(fh, ["t_s", "energy_density"], rows)
+        # one block, which the writer formats a fixed number of rows at a time
+        trace = [[response.times_s, response.energy_density]]
+        _write(registry.float_table(["t_s", "energy_density"], trace), args.trace)
     return 0
 
 
@@ -454,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=directions, required=True)
     p.add_argument("--gamma-o-hz", type=float)
     p.add_argument("--bracket-hz", default="10:1e7")
-    p.add_argument("--ratio-bracket", default="1e-3:1e3")
+    # no default, so that --direction up sees it given
+    p.add_argument("--ratio-bracket")
     p.add_argument("--model", choices=models, default="lossy")
     p.add_argument("--duty", type=float, default=1.0)
     p.add_argument("--out")
@@ -483,8 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # no default: the preset rejects it, an explicit filter takes 0.0 without it
     p.add_argument("--center-hz", type=float)
     p.add_argument("--notch", action="append", help="LOW:HIGH in Hz, repeatable")
-    p.add_argument("--t-rep-mult", type=float, default=3.0,
-                   help="repetition time in units of 1/Gamma_T")
+    # no default, so that --t-rep-s sees it given
+    p.add_argument("--t-rep-mult", type=float, help="repetition time in units of 1/Gamma_T")
     p.add_argument("--t-rep-s", type=float)
     p.add_argument("--span-hz", type=float)
     p.add_argument("--n-points", type=int, default=2**20)

@@ -68,19 +68,26 @@ class SweepSpec:
         if not 0.0 < self.duty <= 1.0:
             raise ValueError(f"duty cycle must be in (0, 1], got {self.duty}")
 
+    def axes(self) -> tuple:
+        """The gamma_e and gamma_o axes (rad/s) of the grid :func:`sweep` runs.
+
+        A swept axis has ``n_samples`` log-spaced points, a fixed rate one.
+        """
+        return tuple(np.geomspace(*axis, self.n_samples) if isinstance(axis, tuple)
+                     else np.array([axis], dtype=float) for axis in (self.gamma_e, self.gamma_o))
+
 
 def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> dict:
     """Evaluate the selected model over the grid of log-spaced operating points.
 
     Returns equal-length arrays keyed, in this order, ``gamma_e`` and
     ``gamma_o`` (rad/s), ``throughput_hz``, ``total``, ``motional``,
-    ``electromagnetic`` and ``correlation``, with gamma_o fastest.  A
-    point that :func:`noise.evaluate` rejects has nan in the four noise
-    columns.  Negative totals raise one :class:`InconsistentBudgetWarning`.
+    ``electromagnetic`` and ``correlation``, over the grid of
+    ``spec.axes()`` with gamma_o fastest.  A point that
+    :func:`noise.evaluate` rejects has nan in the four noise columns.
+    Negative totals raise one :class:`InconsistentBudgetWarning`.
     """
-    axes = [np.geomspace(*axis, spec.n_samples) if isinstance(axis, tuple) else [axis]
-            for axis in (spec.gamma_e, spec.gamma_o)]
-    gamma_e, gamma_o = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
+    gamma_e, gamma_o = (grid.ravel() for grid in np.meshgrid(*spec.axes(), indexing="ij"))
     # apparent_efficiency * bandwidth_hz * duty over arrays; unlike
     # core.throughput, it lets the sideband gain push the efficiency past 1
     gamma_t = gamma_e + gamma_o + params.gamma_m

@@ -33,10 +33,6 @@ REGISTRY_HEADER = [
 SCATTER_HEADER = ["throughput_hz", "n_add", "label", "direction"]
 CONTOUR_HEADER = ["level", "x_throughput_hz", "y_n_add"]
 
-# Columns that hold text.  Every other column holds a float and is
-# written with format_float, whatever the type of the value passed in.
-TEXT_COLUMNS = frozenset({"label", "direction", "model", "form", "source", "notes"})
-
 
 class RegistryError(ValueError):
     """Malformed registry content; message lists line numbers."""
@@ -136,27 +132,70 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def write_csv(fh, header, rows) -> None:
-    """Write ``header`` and then ``rows`` to ``fh`` as CSV.
-
-    Fields in :data:`TEXT_COLUMNS` are written as they are; every other
-    field goes through :func:`format_float`.
-    """
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    text = [name in TEXT_COLUMNS for name in header]
-    if any(text):
-        rows = ([v if t else format_float(v) for t, v in zip(text, row)] for row in rows)
-    else:  # all floats, the common case, and the fast one
-        rows = (map(format_float, row) for row in rows)
-    writer.writerows(rows)
-
-
 def csv_text(header, rows) -> str:
-    """:func:`write_csv` output as a string."""
+    """CSV text of ``header`` and then ``rows``, quoting text that needs it.
+
+    A str field is written as it is, any other through :func:`format_float`.
+    """
     out = io.StringIO()
-    write_csv(out, header, rows)
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else format_float(v) for v in row] for row in rows)
     return out.getvalue()
+
+
+# rows formatted at a time in a long block, so that the memory a table
+# takes does not grow with the length of its blocks
+_CHUNK_ROWS = 4096
+
+
+def _format_all(values) -> list:
+    """:func:`format_float` of every value of an array or a sequence."""
+    return list(map(format_float, values.tolist() if hasattr(values, "tolist") else values))
+
+
+def float_table(header, blocks):
+    """CSV text of a float table: the header line, then the blocks in chunks.
+
+    Each block holds one entry per column, of one of three kinds:
+
+    * a float or str that is the same on every row of the block;
+    * a sequence given as the same object in consecutive blocks, such as
+      a grid axis, which is formatted once for all of them;
+    * a fresh array (or list) of the block's row values.
+
+    Floats go through :func:`format_float`, so the text is what
+    :func:`csv_text` writes for the same rows: no float field ever needs
+    quoting, and a str entry must not need it either.  A block without a
+    sequence is one row.  A block of more than ``_CHUNK_ROWS`` rows is
+    formatted that many rows at a time, and none of its sequences is kept
+    for the next block.  Formatting is all the generator does; check and
+    compute every value before the first chunk is written.
+    """
+    yield ",".join(header) + "\r\n"
+    last = {}  # column -> (sequence, its fields) in the block before
+    for block in blocks:
+        block = [entry if isinstance(entry, str) or hasattr(entry, "__len__")
+                 else format_float(entry) for entry in block]
+        lengths = {len(entry) for entry in block if not isinstance(entry, str)}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
+        n_rows = lengths.pop() if lengths else 1
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            size = min(n_rows - start, _CHUNK_ROWS)
+            columns = []
+            for index, entry in enumerate(block):
+                if isinstance(entry, str):
+                    fields = [entry] * size
+                elif n_rows > _CHUNK_ROWS:
+                    fields = _format_all(entry[start:start + size])
+                else:
+                    seen, fields = last.get(index, (None, None))
+                    if entry is not seen:
+                        fields = _format_all(entry)
+                        last[index] = entry, fields
+                columns.append(fields)
+            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
 def scatter_csv(records, direction: str | None = None) -> str:
@@ -166,12 +205,19 @@ def scatter_csv(records, direction: str | None = None) -> str:
     return csv_text(SCATTER_HEADER, rows)
 
 
+def contour_table(levels, throughput_range_hz, n_add_range=(1e-3, 0.999), n_samples=512):
+    """:func:`contour_csv` as the chunks of :func:`float_table`.
+
+    The contours are computed, and their inputs checked, before this returns.
+    """
+    lines = capacity_contours(levels, throughput_range_hz, n_add_range, n_samples)
+    return float_table(CONTOUR_HEADER,
+                       ([line.level, line.throughput_hz, line.n_add] for line in lines))
+
+
 def contour_csv(levels, throughput_range_hz, n_add_range=(1e-3, 0.999), n_samples=512) -> str:
     """Contour polyline CSV for the given iso-rate levels."""
-    lines = capacity_contours(levels, throughput_range_hz, n_add_range, n_samples)
-    rows = ((line.level, theta, n_add)
-            for line in lines for theta, n_add in zip(line.throughput_hz, line.n_add))
-    return csv_text(CONTOUR_HEADER, rows)
+    return "".join(contour_table(levels, throughput_range_hz, n_add_range, n_samples))
 
 
 def emit_comparison(

@@ -144,6 +144,32 @@ def test_capacity_grid_out_of_range_writes_nothing(capsys):
     assert "eta" in err
 
 
+def test_capacity_grid_empty_eta_axis_checks_n_add(capsys):
+    code, out, err = run(capsys, "capacity", "--grid-eta", "0:0.5:0", "--grid-n-add=-1:1:3")
+    assert code == 1
+    assert out == ""
+    assert "n_add" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--grid-eta", "0:1:4", "--grid-n-add", "0:0.9:4"),
+        ("--grid-eta", "0:0.5:3", "--grid-n-add", "0:nan:4"),
+        ("--grid-throughput-hz", "1:10:2", "--grid-n-add=-1:1.5:3"),
+    ],
+    ids=["eta-grid-last-row", "eta-grid-nan-n-add", "throughput-grid"],
+)
+def test_failing_grid_writes_no_byte_and_no_out_file(tmp_path, capsys, argv):
+    out_path = tmp_path / "grid.csv"
+    for extra in ((), ("--out", str(out_path))):
+        code, out, err = run(capsys, "capacity", *argv, *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_capacity_throughput_grid(capsys):
     # the CLI takes the whole grid in one array call; rows start at n_add = 0
     # and cross n_add = 1, where the slope turns to zero, and any ulp of
@@ -361,6 +387,31 @@ def test_filter_analysis_checks_repetition_time_before_the_fft(capsys, monkeypat
     assert code == 1
     assert out == ""
     assert "t_rep_s" in err
+
+
+@pytest.mark.parametrize("preset", [(), ("--preset", "paper")], ids=["explicit", "preset"])
+def test_filter_analysis_rejects_t_rep_mult_with_t_rep_s(capsys, monkeypatch, preset):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the filter was built before the flags were checked")
+
+    monkeypatch.setattr(filters, "tuned_preset", not_reached)
+    monkeypatch.setattr(filters, "impulse_response", not_reached)
+    filter_flags = preset or ("--linewidth-hz", "21700")
+    code, out, err = run(capsys, "filter-analysis", *filter_flags, "--t-rep-s", "1e-3",
+                         "--t-rep-mult", "99", "--n-points", "65536")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --t-rep-mult is not used with --t-rep-s\n"
+
+
+@pytest.mark.parametrize("mult, argv", [(3.0, ()), (99.0, ("--t-rep-mult", "99"))],
+                         ids=["default", "given"])
+def test_filter_analysis_t_rep_mult(capsys, mult, argv):
+    code, out, _ = run(capsys, "filter-analysis", "--linewidth-hz", "21700",
+                       "--n-points", "65536", *argv)
+    assert code == 0
+    t_rep = mult / filters.FilterSpec(linewidth_hz=21700.0).gamma_t
+    assert f"t_rep_s={t_rep!r}" in out.splitlines()
 
 
 def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch):
@@ -605,6 +656,28 @@ def test_device_that_fails_validation_is_not_evaluated(tmp_path, capsys, monkeyp
     assert out == ""
     assert err == f"error: {cfg} fails validation: {'; '.join(report)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def test_optimize_up_rejects_ratio_bracket(capsys):
+    code, out, err = run(
+        capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", "up",
+        "--gamma-o-hz", "1e5", "--ratio-bracket", "5:6",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --ratio-bracket is not used with --direction up\n"
+
+
+def test_optimize_down_default_ratio_bracket(capsys):
+    code, out, _ = run(capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", "down")
+    assert code == 0
+    cfg = load_config(EXAMPLE_CFG)
+    result = optimize.optimize_down(
+        cfg.device, cfg.environment,
+        gamma_o_bracket=(rate_from_hz(10.0), rate_from_hz(1e7)), ratio_bracket=(1e-3, 1e3),
+        model=noise.MODEL_LOSSY_DOWN,
+    )
+    assert out == _optimum_text("down", noise.MODEL_LOSSY_DOWN, result)
 
 
 def test_optimize_down_rejects_gamma_o(capsys):

@@ -1,8 +1,10 @@
+import csv
 import io
 
 import numpy as np
 import pytest
 
+from quduct import registry
 from quduct.capacity import cap_small_eta
 from quduct.registry import (
     DeviceRecord,
@@ -11,6 +13,8 @@ from quduct.registry import (
     contour_csv,
     emit_comparison,
     external_upconversion_path,
+    float_table,
+    format_float,
     load_registry,
     scatter_csv,
 )
@@ -139,3 +143,78 @@ def test_device_record_validation():
 def test_bundled_path_is_package_data():
     assert bundled_registry_path().name == "registry.csv"
     assert bundled_registry_path().exists()
+
+
+def _writer_text(header, rows):
+    """The reference: csv.writer over format_float of every non-str field."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else format_float(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def _rows(blocks):
+    """The rows a list of float_table blocks stands for, one value per field."""
+    rows = []
+    for block in blocks:
+        lengths = {len(entry) for entry in block
+                   if not isinstance(entry, str) and hasattr(entry, "__len__")}
+        n_rows = lengths.pop() if lengths else 1
+        for i in range(n_rows):
+            rows.append([entry[i] if not isinstance(entry, str) and hasattr(entry, "__len__")
+                         else entry for entry in block])
+    return rows
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308 / 3,
+                    -1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e22, 1e-7])
+AXIS = np.linspace(0.0, 1.2, 5)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[-0.0, SPECIAL, SPECIAL[::-1]], [np.nan, SPECIAL[:3], SPECIAL[3:6]]],
+        [[3, np.float64(0.1), np.arange(4), [1, 2, np.float64(0.3), -7]],
+         [np.float32(0.5), -2, np.arange(4.0), (0.25, 1e300, -0.0, 2)]],
+        [[eta, AXIS, AXIS * eta] for eta in (0.0, 0.5, 1.5)],
+        [[0.1, AXIS, AXIS], [0.2, np.array([]), np.array([])], [0.3, AXIS, -AXIS]],
+        [],
+        [[theta, AXIS, AXIS / theta, "small-eta"] for theta in (0.5, 2.0)],
+        [[1.0, 2.0, "lossy", 3.0]],
+    ],
+    ids=["nonfinite-subnormal-extreme", "int-and-numpy-scalars", "recurring-axis",
+         "zero-row-block", "no-blocks", "text-column", "constants-only"],
+)
+def test_float_table_matches_csv_writer(blocks):
+    header = [f"c{i}" for i in range(len(blocks[0]) if blocks else 3)]
+    text = "".join(float_table(header, blocks))
+    assert text == _writer_text(header, _rows(blocks))
+    if not blocks:
+        assert text == "c0,c1,c2\r\n"
+
+
+def test_float_table_long_block_in_chunks(monkeypatch):
+    monkeypatch.setattr(registry, "_CHUNK_ROWS", 3)
+    x = np.linspace(0.0, 1.0, 8)
+    blocks = [[0.5, x, x * x], [0.25, x, -x]]
+    chunks = list(float_table(["a", "b", "c"], blocks))
+    assert len(chunks) == 1 + 2 * 3
+    assert "".join(chunks) == _writer_text(["a", "b", "c"], _rows(blocks))
+
+
+def test_float_table_formats_a_recurring_axis_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(registry, "format_float", lambda x: calls.append(x) or repr(float(x)))
+    axis, rows = AXIS[:4], np.arange(12.0).reshape(3, 4)
+    text = "".join(float_table(["eta", "n_add", "c"],
+                               ([eta, axis, row] for eta, row in zip((0.1, 0.2, 0.3), rows))))
+    # the axis once, then per block its eta and its four fresh values
+    assert len(calls) == 4 + 3 * (1 + 4)
+    assert text.count("\r\n") == 1 + 12
+
+
+def test_float_table_rejects_columns_of_different_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        list(float_table(["a", "b"], [[np.zeros(2), np.zeros(3)]]))
