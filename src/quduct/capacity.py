@@ -241,7 +241,7 @@ def capacity_contours(
     """
     t_lo, t_hi = throughput_range_hz
     n_lo, n_hi = n_add_range
-    if t_lo <= 0 or t_hi <= t_lo:
+    if not 0 < t_lo < t_hi:
         raise ValueError("throughput range must be positive and increasing")
     if not (0.0 < n_lo < n_hi < 1.0):
         raise ValueError("n_add range must lie inside (0, 1)")
@@ -251,7 +251,7 @@ def capacity_contours(
     slope = _small_eta_slope(n_grid)
     lines = []
     for level in levels:
-        if level <= 0:
+        if not 0 < level < math.inf:
             raise ValueError(f"contour levels must be positive, got {level}")
         theta = level / (math.pi * slope)
         keep = (theta >= t_lo) & (theta <= t_hi)

@@ -6,6 +6,13 @@ command line and in all emitted CSV are ordinary frequencies in Hz;
 floats are printed as the shortest decimal that round-trips, so
 identical inputs give byte-identical output.
 
+:data:`COMMANDS` is the one place a flag, its default and the modes that
+do not read it are declared.  The parser built from it sets no default,
+so a flag counts as given exactly when it is on the command line.
+:func:`_read_flags` records the given flags, fills in the defaults and
+fails on the first given flag that the chosen mode does not read, all
+before the handler runs, so a handler reads ``args`` as plain values.
+
 A handler checks its input and computes every value before it returns
 what it computed: a list of lines, or a table as the CSV chunks of
 :func:`registry.float_table`, which only formats.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import warnings
 
@@ -73,10 +81,16 @@ def _parse_pair(text: str, flag: str):
 
 
 def _parse_triplet(text: str, flag: str):
+    """``LOW:HIGH:N`` of a grid axis, with finite bounds and N >= 0."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{flag} expects LOW:HIGH:N, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{flag} bounds must be finite, got {text!r}")
+    if n < 0:
+        raise ValueError(f"{flag} N must be nonnegative, got {text!r}")
+    return lo, hi, n
 
 
 def _levels(text: str) -> list:
@@ -85,17 +99,6 @@ def _levels(text: str) -> list:
         return [float(x) for x in text.split(",") if x]
     except ValueError:
         raise ValueError(f"--levels expects comma-separated numbers, got {text!r}") from None
-
-
-def _reject_given(args, flags, reason: str) -> None:
-    """Fail naming the first of ``flags`` given on the command line.
-
-    A flag counts as given when its value is not None, so only flags
-    without a default can be checked.
-    """
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValueError(f"{flag} {reason}")
 
 
 def _rate_range(text: str, flag: str):
@@ -161,20 +164,16 @@ def _cmd_noise(args):
 def _cmd_sweep(args):
     cfg = _load_valid_config(args.config)
     model = _model_for(args.direction, args.model)
-    unused = f"is not used with --variable {args.variable}"
     gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
     if args.variable == "gamma-e":
-        _reject_given(args, ("--gamma-e-hz", "--range2-hz"), unused)
         if args.gamma_o_hz is None:
             raise ValueError("sweeping gamma_e needs --gamma-o-hz")
         gamma_o = rate_from_hz(args.gamma_o_hz)
     elif args.variable == "gamma-o":
-        _reject_given(args, ("--gamma-o-hz", "--range2-hz"), unused)
         if args.gamma_e_hz is None:
             raise ValueError("sweeping gamma_o needs --gamma-e-hz")
         gamma_e = rate_from_hz(args.gamma_e_hz)
     else:
-        _reject_given(args, ("--gamma-e-hz", "--gamma-o-hz"), unused)
         if args.range2_hz is None:
             raise ValueError("sweeping both needs --range2-hz for gamma_o")
         gamma_o = _rate_range(args.range2_hz, "--range2-hz")
@@ -203,7 +202,6 @@ def _cmd_optimize(args):
     cfg = _load_valid_config(args.config)
     bracket = _rate_range(args.bracket_hz, "--bracket-hz")
     if args.direction == "up":
-        _reject_given(args, ("--ratio-bracket",), "is not used with --direction up")
         if args.gamma_o_hz is None:
             raise ValueError("upconversion optimization needs --gamma-o-hz")
         model = _model_for("up", args.model)
@@ -212,14 +210,10 @@ def _cmd_optimize(args):
             bracket=bracket, model=model, duty=args.duty,
         )
     else:
-        _reject_given(args, ("--gamma-o-hz",), "is not used with --direction down")
         model = _model_for("down", args.model)
         result = optimize.optimize_down(
             cfg.device, cfg.environment, gamma_o_bracket=bracket,
-            ratio_bracket=_parse_pair(
-                "1e-3:1e3" if args.ratio_bracket is None else args.ratio_bracket,
-                "--ratio-bracket",
-            ),
+            ratio_bracket=_parse_pair(args.ratio_bracket, "--ratio-bracket"),
             model=model, duty=args.duty,
         )
     budget = result.budget
@@ -239,12 +233,12 @@ def _cmd_optimize(args):
     ]
 
 
+def _grid_mode(args) -> bool:
+    return bool(args.grid_eta or args.grid_throughput_hz)
+
+
 def _cmd_capacity(args):
-    if args.grid_eta or args.grid_throughput_hz:
-        point_only = ("--eta", "--n-add", "--bandwidth-hz", "--duty", "--form")
-        _reject_given(args, point_only, "is not used in grid mode")
-        if args.grid_eta:
-            _reject_given(args, ("--grid-throughput-hz",), "cannot be combined with --grid-eta")
+    if _grid_mode(args):
         if args.grid_n_add is None:
             raise ValueError("grid mode needs --grid-n-add LOW:HIGH:N")
         n_values = np.linspace(*_parse_triplet(args.grid_n_add, "--grid-n-add"))
@@ -257,34 +251,32 @@ def _cmd_capacity(args):
             return registry.float_table(["eta", "n_add", "c_ub"], (
                 [eta, n_values, row] for eta, row in zip(etas.tolist(), caps)
             ))
-        thetas = np.geomspace(*_parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz"))
+        lo, hi, n = _parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz")
+        if not (lo > 0 and hi > 0):
+            raise ValueError(f"--grid-throughput-hz bounds must be positive, "
+                             f"got {args.grid_throughput_hz!r}")
+        thetas = np.geomspace(lo, hi, n)
         caps = cap_small_eta(n_values, thetas[:, None])
         return registry.float_table(["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
             [theta, n_values, row, "small-eta"] for theta, row in zip(thetas.tolist(), caps)
         ))
 
-    _reject_given(args, ("--grid-n-add",), "is not used in point mode")
     if args.eta is None or args.n_add is None:
         raise ValueError("point mode needs --eta and --n-add")
     point = cap_ub_point(args.eta, args.n_add)
     if args.bandwidth_hz is None:
-        _reject_given(args, ("--duty", "--form"), "is not used without --bandwidth-hz")
         return registry.float_table(["eta", "n_add", "c_ub"], [[args.eta, args.n_add, point]])
-    # --duty and --form have no parser default, so that the modes that
-    # ignore them see them given
-    duty = 1.0 if args.duty is None else args.duty
-    spec = ChannelSpec(args.eta, args.n_add, args.bandwidth_hz, duty)
-    form = args.form or "closed"
+    spec = ChannelSpec(args.eta, args.n_add, args.bandwidth_hz, args.duty)
     integrated = {
         "closed": cap_integrated_closed,
         "quadrature": cap_integrated_quadrature,
         "small-eta": lambda s: cap_small_eta(s.n_add, s.throughput_hz),
-    }[form](spec)
+    }[args.form](spec)
     return registry.float_table(
         ["eta", "n_add", "bandwidth_hz", "duty", "throughput_hz",
          "c_ub", "cap_qubits_per_s", "form"],
         [[spec.eta, spec.n_add, spec.bandwidth_hz, spec.duty,
-          spec.throughput_hz, point, integrated, form]],
+          spec.throughput_hz, point, integrated, args.form]],
     )
 
 
@@ -298,23 +290,19 @@ def _cmd_contours(args):
 
 
 def _cmd_filter_analysis(args) -> int:
-    if args.t_rep_s is not None:
-        _reject_given(args, ("--t-rep-mult",), "is not used with --t-rep-s")
     if args.preset == "paper":
-        _reject_given(args, ("--linewidth-hz", "--notch", "--center-hz"),
-                      "cannot be combined with --preset paper, which fixes it")
         spec = filters.tuned_preset(span_hz=args.span_hz, n_points=args.n_points)
     else:
         if args.linewidth_hz is None:
             raise ValueError("give --linewidth-hz or --preset paper")
         spec = filters.FilterSpec(
             linewidth_hz=args.linewidth_hz,
-            center_hz=0.0 if args.center_hz is None else args.center_hz,
-            notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch or []),
+            center_hz=args.center_hz,
+            notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch),
         )
     t_rep = args.t_rep_s
     if t_rep is None:
-        t_rep = (3.0 if args.t_rep_mult is None else args.t_rep_mult) / spec.gamma_t
+        t_rep = args.t_rep_mult / spec.gamma_t
     filters.check_t_rep(t_rep)  # before the FFTs, which take most of the run
     # one response serves both the report and the trace
     response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
@@ -349,7 +337,7 @@ def _cmd_fit_spectrum(args):
     from . import spectra
 
     spectrum = spectra.read_spectrum_csv(args.spectrum)
-    exclude = spectra.ExclusionBands([_parse_pair(b, "--exclude") for b in args.exclude or []])
+    exclude = spectra.ExclusionBands([_parse_pair(b, "--exclude") for b in args.exclude])
     fit = spectra.fit_lorentzian(spectrum, exclude)
     lines = [
         *_floats(
@@ -395,8 +383,6 @@ def _cmd_xi_e(args):
 def _cmd_compare(args):
     path = None if args.registry == "bundled" else args.registry
     records = registry.load_registry(path)
-    if args.include_external:
-        records += registry.load_registry(registry.external_upconversion_path())
     live = []
     if args.config:
         cfg = _load_valid_config(args.config)
@@ -414,11 +400,142 @@ def _cmd_compare(args):
                 notes="computed from config",
             ))
     written = registry.emit_comparison(
-        records, _levels(args.levels or ""), args.out_dir,
+        records, _levels(args.levels), args.out_dir,
         direction=args.direction, live_points=live,
         throughput_range_hz=_parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
     )
     return [f"{name}: {written[name]}" for name in sorted(written)]
+
+
+DIRECTIONS = ["up", "down"]
+MODELS = ["ideal", "lossy", "combined"]
+
+# Per subcommand: its handler, its help, its flags and its modes.  A flag
+# maps to its argparse keywords, where "default" is the value filled in
+# when the flag is not given.  A mode is (applies to the filled args, the
+# flags it does not read, why); a given flag that an applying mode does
+# not read fails as "error: FLAG WHY", in the order listed here.
+COMMANDS = {
+    "validate": (_cmd_validate, "check a config against the device invariants", {
+        "--config": dict(required=True),
+    }, ()),
+    "noise": (_cmd_noise, "evaluate one added-noise budget", {
+        "--config": dict(required=True),
+        "--direction": dict(choices=DIRECTIONS, required=True),
+        "--model": dict(choices=MODELS, default="lossy"),
+        "--op": dict(help="operating point name from the config"),
+        "--gamma-e-hz": dict(type=float),
+        "--gamma-o-hz": dict(type=float),
+        # no default: without --duty the operating point's duty applies
+        "--duty": dict(type=float),
+        "--out": {},
+    }, ()),
+    "sweep": (_cmd_sweep, "sweep pump rates and tabulate noise vs throughput", {
+        "--config": dict(required=True),
+        "--direction": dict(choices=DIRECTIONS, required=True),
+        "--variable": dict(choices=["gamma-e", "gamma-o", "both"], default="gamma-e"),
+        "--range-hz": dict(required=True, help="LOW:HIGH for the swept rate"),
+        "--range2-hz": dict(help="LOW:HIGH for gamma_o when sweeping both"),
+        "--n": dict(type=int, default=50),
+        "--gamma-e-hz": dict(type=float),
+        "--gamma-o-hz": dict(type=float),
+        "--model": dict(choices=MODELS, default="lossy"),
+        "--duty": dict(type=float, default=1.0),
+        "--out": {},
+    }, (
+        (lambda a: a.variable == "gamma-e", ("--gamma-e-hz", "--range2-hz"),
+         "is not used with --variable gamma-e"),
+        (lambda a: a.variable == "gamma-o", ("--gamma-o-hz", "--range2-hz"),
+         "is not used with --variable gamma-o"),
+        (lambda a: a.variable == "both", ("--gamma-e-hz", "--gamma-o-hz"),
+         "is not used with --variable both"),
+    )),
+    "optimize": (_cmd_optimize, "find the noise-optimal operating point", {
+        "--config": dict(required=True),
+        "--direction": dict(choices=DIRECTIONS, required=True),
+        "--gamma-o-hz": dict(type=float),
+        "--bracket-hz": dict(default="10:1e7"),
+        "--ratio-bracket": dict(default="1e-3:1e3"),
+        "--model": dict(choices=MODELS, default="lossy"),
+        "--duty": dict(type=float, default=1.0),
+        "--out": {},
+    }, (
+        (lambda a: a.direction == "up", ("--ratio-bracket",), "is not used with --direction up"),
+        (lambda a: a.direction == "down", ("--gamma-o-hz",), "is not used with --direction down"),
+    )),
+    "capacity": (_cmd_capacity, "capacity bounds: point, integrated, or grids", {
+        "--eta": dict(type=float),
+        "--n-add": dict(type=float),
+        "--bandwidth-hz": dict(type=float),
+        "--duty": dict(type=float, default=1.0),
+        "--form": dict(choices=["closed", "small-eta", "quadrature"], default="closed"),
+        "--grid-eta": dict(help="LOW:HIGH:N (linear)"),
+        "--grid-n-add": dict(help="LOW:HIGH:N (linear)"),
+        "--grid-throughput-hz": dict(help="LOW:HIGH:N (log spaced)"),
+        "--out": {},
+    }, (
+        (_grid_mode, ("--eta", "--n-add", "--bandwidth-hz", "--duty", "--form"),
+         "is not used in grid mode"),
+        (lambda a: a.grid_eta, ("--grid-throughput-hz",), "cannot be combined with --grid-eta"),
+        (lambda a: not _grid_mode(a), ("--grid-n-add",), "is not used in point mode"),
+        (lambda a: not _grid_mode(a) and a.bandwidth_hz is None, ("--duty", "--form"),
+         "is not used without --bandwidth-hz"),
+    )),
+    "contours": (_cmd_contours, "iso-capacity contour polylines", {
+        "--levels": dict(required=True, help="comma-separated qubits/s levels"),
+        "--throughput-range-hz": dict(default="0.01:100000"),
+        "--n-add-range": dict(default="0.001:0.999"),
+        "--n": dict(type=int, default=512),
+        "--out": {},
+    }, ()),
+    "filter-analysis": (_cmd_filter_analysis, "notched-filter transmission and ringing", {
+        "--preset": dict(choices=["paper"]),
+        "--linewidth-hz": dict(type=float),
+        "--center-hz": dict(type=float, default=0.0),
+        "--notch": dict(action="append", default=(), help="LOW:HIGH in Hz, repeatable"),
+        "--t-rep-mult": dict(type=float, default=3.0, help="repetition time in units of 1/Gamma_T"),
+        "--t-rep-s": dict(type=float),
+        "--span-hz": dict(type=float),
+        "--n-points": dict(type=int, default=2**20),
+        "--trace": dict(help="write the time-domain trace CSV here"),
+        "--out": {},
+    }, (
+        (lambda a: a.t_rep_s is not None, ("--t-rep-mult",), "is not used with --t-rep-s"),
+        (lambda a: a.preset == "paper", ("--linewidth-hz", "--notch", "--center-hz"),
+         "cannot be combined with --preset paper, which fixes it"),
+    )),
+    "fit-spectrum": (
+        _cmd_fit_spectrum, "fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands", {
+            "--spectrum": dict(required=True, help="CSV: freq_hz,value"),
+            "--exclude": dict(action="append", default=(), help="LOW:HIGH band in Hz, repeatable"),
+            "--efficiency": dict(help="efficiency spectrum CSV; adds the efficiency-weighted "
+                                 "average of the fitted spectrum over unexcluded points"),
+            "--out": {},
+        }, ()),
+    "fit-occupancy": (_cmd_fit_occupancy, "fit the linear circuit-occupancy model", {
+        "--records": dict(required=True, help="CSV: gamma_e_hz,n_bar_e,sigma,method"),
+        "--method": dict(choices=["microwave", "optomechanical", "all"], default="all"),
+        "--unweighted": dict(action="store_true", default=False),
+        "--out": {},
+    }, ()),
+    "xi-e": (_cmd_xi_e, "microwave readout-efficiency product", {
+        **{"--" + name.replace("_", "-"): dict(type=float, required=True)
+           for name in calibration.READOUT_FACTORS},
+        "--out": {},
+    }, ()),
+    "compare": (_cmd_compare, "emit registry scatter plus contour bundle", {
+        "--registry": dict(default="bundled", help="'bundled' or a CSV path"),
+        "--direction": dict(choices=DIRECTIONS, required=True),
+        "--levels": dict(default="", help="comma-separated contour levels in qubits/s"),
+        "--out-dir": dict(required=True),
+        "--config": dict(help="compute live points from this config"),
+        "--throughput-range-hz": dict(default="0.01:100000"),
+    }, ()),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,127 +544,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transducer noise budgets, throughput, and capacity bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        return p
-
-    directions = ["up", "down"]
-    models = ["ideal", "lossy", "combined"]
-
-    p = command("validate", _cmd_validate, "check a config against the device invariants")
-    p.add_argument("--config", required=True)
-
-    p = command("noise", _cmd_noise, "evaluate one added-noise budget")
-    p.add_argument("--config", required=True)
-    p.add_argument("--direction", choices=directions, required=True)
-    p.add_argument("--model", choices=models, default="lossy")
-    p.add_argument("--op", help="operating point name from the config")
-    p.add_argument("--gamma-e-hz", type=float)
-    p.add_argument("--gamma-o-hz", type=float)
-    # no default: without --duty the operating point's duty applies
-    p.add_argument("--duty", type=float)
-    p.add_argument("--out")
-
-    p = command("sweep", _cmd_sweep, "sweep pump rates and tabulate noise vs throughput")
-    p.add_argument("--config", required=True)
-    p.add_argument("--direction", choices=directions, required=True)
-    p.add_argument("--variable", choices=["gamma-e", "gamma-o", "both"], default="gamma-e")
-    p.add_argument("--range-hz", required=True, help="LOW:HIGH for the swept rate")
-    p.add_argument("--range2-hz", help="LOW:HIGH for gamma_o when sweeping both")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--gamma-e-hz", type=float)
-    p.add_argument("--gamma-o-hz", type=float)
-    p.add_argument("--model", choices=models, default="lossy")
-    p.add_argument("--duty", type=float, default=1.0)
-    p.add_argument("--out")
-
-    p = command("optimize", _cmd_optimize, "find the noise-optimal operating point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--direction", choices=directions, required=True)
-    p.add_argument("--gamma-o-hz", type=float)
-    p.add_argument("--bracket-hz", default="10:1e7")
-    # no default, so that --direction up sees it given
-    p.add_argument("--ratio-bracket")
-    p.add_argument("--model", choices=models, default="lossy")
-    p.add_argument("--duty", type=float, default=1.0)
-    p.add_argument("--out")
-
-    p = command("capacity", _cmd_capacity, "capacity bounds: point, integrated, or grids")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--n-add", type=float)
-    p.add_argument("--bandwidth-hz", type=float)
-    p.add_argument("--duty", type=float)
-    p.add_argument("--form", choices=["closed", "small-eta", "quadrature"])
-    p.add_argument("--grid-eta", help="LOW:HIGH:N (linear)")
-    p.add_argument("--grid-n-add", help="LOW:HIGH:N (linear)")
-    p.add_argument("--grid-throughput-hz", help="LOW:HIGH:N (log spaced)")
-    p.add_argument("--out")
-
-    p = command("contours", _cmd_contours, "iso-capacity contour polylines")
-    p.add_argument("--levels", required=True, help="comma-separated qubits/s levels")
-    p.add_argument("--throughput-range-hz", default="0.01:100000")
-    p.add_argument("--n-add-range", default="0.001:0.999")
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--out")
-
-    p = command("filter-analysis", _cmd_filter_analysis, "notched-filter transmission and ringing")
-    p.add_argument("--preset", choices=["paper"])
-    p.add_argument("--linewidth-hz", type=float)
-    # no default: the preset rejects it, an explicit filter takes 0.0 without it
-    p.add_argument("--center-hz", type=float)
-    p.add_argument("--notch", action="append", help="LOW:HIGH in Hz, repeatable")
-    # no default, so that --t-rep-s sees it given
-    p.add_argument("--t-rep-mult", type=float, help="repetition time in units of 1/Gamma_T")
-    p.add_argument("--t-rep-s", type=float)
-    p.add_argument("--span-hz", type=float)
-    p.add_argument("--n-points", type=int, default=2**20)
-    p.add_argument("--trace", help="write the time-domain trace CSV here")
-    p.add_argument("--out")
-
-    p = command("fit-spectrum", _cmd_fit_spectrum,
-                "fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands")
-    p.add_argument("--spectrum", required=True, help="CSV: freq_hz,value")
-    p.add_argument("--exclude", action="append", help="LOW:HIGH band in Hz, repeatable")
-    p.add_argument("--efficiency", help="efficiency spectrum CSV; adds the efficiency-weighted "
-                   "average of the fitted spectrum over unexcluded points")
-    p.add_argument("--out")
-
-    p = command("fit-occupancy", _cmd_fit_occupancy, "fit the linear circuit-occupancy model")
-    p.add_argument("--records", required=True, help="CSV: gamma_e_hz,n_bar_e,sigma,method")
-    p.add_argument("--method", choices=["microwave", "optomechanical", "all"], default="all")
-    p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--out")
-
-    p = command("xi-e", _cmd_xi_e, "microwave readout-efficiency product")
-    for name in calibration.READOUT_FACTORS:
-        p.add_argument("--" + name.replace("_", "-"), type=float, required=True)
-    p.add_argument("--out")
-
-    p = command("compare", _cmd_compare, "emit registry scatter plus contour bundle")
-    p.add_argument("--registry", default="bundled", help="'bundled' or a CSV path")
-    p.add_argument("--direction", choices=directions, required=True)
-    p.add_argument("--levels", help="comma-separated contour levels in qubits/s")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="compute live points from this config")
-    p.add_argument("--include-external", action="store_true")
-    p.add_argument("--throughput-range-hz", default="0.01:100000")
+    for name, (_, summary, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **{**keywords, "default": None})
     return parser
 
 
+def _read_flags(args, flags, modes) -> None:
+    """Fill in the defaults of the ``flags`` not given, then fail on the
+    first given flag that an applying mode does not read.
+
+    A flag is given when its value is not None, as the parser sets no
+    default.  Modes apply on the filled values, because a default can
+    choose one: sweep without ``--variable`` is in the gamma-e mode.
+    """
+    given = {flag for flag in flags if getattr(args, _dest(flag)) is not None}
+    for flag in flags.keys() - given:
+        setattr(args, _dest(flag), flags[flag].get("default"))
+    for applies, unread, reason in modes:
+        for flag in unread if applies(args) else ():
+            if flag in given:
+                raise ValueError(f"{flag} {reason}")
+
+
 def cli_dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
+    run, _, flags, modes = COMMANDS[args.command]
     with warnings.catch_warnings():
         # one line per warning, without the library source line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            output = args.fn(args)
+            _read_flags(args, flags, modes)
+            output = run(args)
             if isinstance(output, int):
                 return output
             _write(output, getattr(args, "out", None))

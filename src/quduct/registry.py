@@ -3,9 +3,7 @@
 The bundled registry stores reported transducer performance figures
 exactly as tabulated in their sources; the notes column carries any
 convention caveat (mode-matching inclusion differs between platforms and
-is deliberately not normalised away).  A separate, initially empty CSV
-is the hook for importing upconversion points from external datasets the
-user has access to.
+is deliberately not normalised away).
 """
 
 from __future__ import annotations
@@ -71,15 +69,6 @@ class DeviceRecord:
 def bundled_registry_path() -> Path:
     """Path of the registry CSV that ships with the package."""
     return Path(importlib.resources.files("quduct")) / "data" / "registry.csv"
-
-
-def external_upconversion_path() -> Path:
-    """Path of the optional user-populated upconversion registry.
-
-    Ships with a header only: points reused from external datasets are
-    not tabulated here, so nothing is prefilled.
-    """
-    return Path(importlib.resources.files("quduct")) / "data" / "registry_upconversion_external.csv"
 
 
 def _parse_rows(reader, origin: str):

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quduct import filters, noise, optimize, spectra
+from quduct import cli, filters, noise, optimize, spectra
 from quduct.capacity import (
     ChannelSpec,
     cap_integrated_closed,
@@ -205,6 +206,34 @@ def test_contours_csv(capsys):
     assert len(out.splitlines()) > 10
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--levels", "nan"), "contour levels must be positive, got nan"),
+        (("--levels", "inf"), "contour levels must be positive, got inf"),
+        (("--levels", "10", "--throughput-range-hz", "nan:1e5"),
+         "throughput range must be positive and increasing"),
+        (("--levels", "10", "--throughput-range-hz", "1:nan"),
+         "throughput range must be positive and increasing"),
+    ],
+    ids=["nan-level", "inf-level", "nan-low", "nan-high"],
+)
+def test_contours_reject_nan_and_infinite_input(capsys, argv, message):
+    code, out, err = run(capsys, "contours", "--n", "5", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_compare_writes_no_contour_file_for_a_nan_range(tmp_path, capsys):
+    code, out, err = run(capsys, "compare", "--direction", "up", "--levels", "100",
+                         "--out-dir", str(tmp_path), "--throughput-range-hz", "1:nan")
+    assert code == 1
+    assert out == ""
+    assert err == "error: throughput range must be positive and increasing\n"
+    assert not (tmp_path / "contours_up.csv").exists()
+
+
 def _levels_argv(command, out_dir):
     """A ``contours`` or ``compare`` invocation, less its ``--levels``."""
     if command == "contours":
@@ -290,6 +319,31 @@ def test_capacity_rejects_flags_its_mode_ignores(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--grid-throughput-hz", "nan:10:3"),
+         "--grid-throughput-hz bounds must be finite, got 'nan:10:3'"),
+        (("--grid-throughput-hz", "1:inf:3"),
+         "--grid-throughput-hz bounds must be finite, got '1:inf:3'"),
+        (("--grid-throughput-hz", "0:10:3"),
+         "--grid-throughput-hz bounds must be positive, got '0:10:3'"),
+        (("--grid-eta", "0:1:3", "--grid-n-add", "0:1:-3"),
+         "--grid-n-add N must be nonnegative, got '0:1:-3'"),
+    ],
+    ids=["nan-bound", "inf-bound", "zero-throughput", "negative-n"],
+)
+def test_capacity_grid_axis_fails_naming_its_flag(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "grid.csv"
+    if "--grid-n-add" not in argv:
+        argv += ("--grid-n-add", "0:1:2")
+    code, out, err = run(capsys, "capacity", *argv, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def test_capacity_point_without_bandwidth(capsys):
@@ -688,6 +742,72 @@ def test_optimize_down_rejects_gamma_o(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --gamma-o-hz is not used with --direction down\n"
+
+
+# Each mode rejection: the argv up to the rejected flag, then the flag with
+# its own default value where it has one, so that "given" is shown to mean
+# on the command line and not different from the default.
+MODE_REJECTIONS = [
+    (("sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--range-hz", "1:2",
+      "--gamma-o-hz", "5", "--gamma-e-hz", "5"),
+     "--gamma-e-hz is not used with --variable gamma-e"),
+    (("sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--variable", "gamma-o",
+      "--range-hz", "1:2", "--gamma-e-hz", "5", "--range2-hz", "1:2"),
+     "--range2-hz is not used with --variable gamma-o"),
+    (("sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--variable", "both",
+      "--range-hz", "1:2", "--range2-hz", "1:2", "--gamma-o-hz", "5"),
+     "--gamma-o-hz is not used with --variable both"),
+    (("optimize", "--config", EXAMPLE_CFG, "--direction", "up", "--gamma-o-hz", "1e5",
+      "--ratio-bracket", "1e-3:1e3"),
+     "--ratio-bracket is not used with --direction up"),
+    (("optimize", "--config", EXAMPLE_CFG, "--direction", "down", "--gamma-o-hz", "5"),
+     "--gamma-o-hz is not used with --direction down"),
+    (("capacity", "--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3", "--form", "closed"),
+     "--form is not used in grid mode"),
+    (("capacity", "--grid-eta", "0:0.9:3", "--grid-n-add", "0:0.9:3",
+      "--grid-throughput-hz", "1:10:2"),
+     "--grid-throughput-hz cannot be combined with --grid-eta"),
+    (("capacity", "--eta", "0.4", "--n-add", "0.5", "--grid-n-add", "0:0.9:3"),
+     "--grid-n-add is not used in point mode"),
+    (("capacity", "--eta", "0.4", "--n-add", "0.5", "--duty", "1.0"),
+     "--duty is not used without --bandwidth-hz"),
+    (("filter-analysis", "--linewidth-hz", "21700", "--t-rep-s", "1e-3", "--t-rep-mult", "3"),
+     "--t-rep-mult is not used with --t-rep-s"),
+    (("filter-analysis", "--preset", "paper", "--center-hz", "0"),
+     "--center-hz cannot be combined with --preset paper, which fixes it"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", MODE_REJECTIONS,
+    ids=["sweep-gamma-e", "sweep-gamma-o", "sweep-both", "optimize-up", "optimize-down",
+         "capacity-grid", "capacity-grid-eta", "capacity-point", "capacity-no-bandwidth",
+         "filter-t-rep-s", "filter-preset"],
+)
+def test_every_mode_rejection(capsys, monkeypatch, argv, message):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the handler ran before the flags were checked")
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], (not_reached, *cli.COMMANDS[argv[0]][1:]))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_flags_a_mode_leaves_unread_have_no_parser_default():
+    (subparsers,) = [action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    unread, checked = set(), set()
+    for name, (_, _, _, modes) in cli.COMMANDS.items():
+        unread |= {(name, flag) for _, flags, _ in modes for flag in flags}
+        for action in subparsers.choices[name]._actions:
+            for flag in action.option_strings:
+                if (name, flag) in unread:
+                    assert action.default is None, (name, flag)
+                    checked.add((name, flag))
+    assert checked == unread
+    assert len(unread) == 16
 
 
 def test_compare_bundle(tmp_path, capsys):

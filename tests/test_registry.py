@@ -12,7 +12,6 @@ from quduct.registry import (
     bundled_registry_path,
     contour_csv,
     emit_comparison,
-    external_upconversion_path,
     float_table,
     format_float,
     load_registry,
@@ -75,12 +74,6 @@ def test_duplicates_flagged(tmp_path):
     with pytest.warns(UserWarning, match="duplicate"):
         records = load_registry(path)
     assert len(records) == 2
-
-
-def test_external_placeholder_ships_empty():
-    path = external_upconversion_path()
-    assert path.exists()
-    assert load_registry(path) == []
 
 
 def test_scatter_contains_expected_point():
