@@ -252,7 +252,7 @@ def capacity_contours(
     lines = []
     for level in levels:
         if not 0 < level < math.inf:
-            raise ValueError(f"contour levels must be positive, got {level}")
+            raise ValueError(f"contour levels must be positive and finite, got {level}")
         theta = level / (math.pi * slope)
         keep = (theta >= t_lo) & (theta <= t_hi)
         lines.append(ContourLine(level, theta[keep], n_grid[keep]))

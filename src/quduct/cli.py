@@ -74,18 +74,20 @@ def _write(output, path=None) -> None:
 
 
 def _parse_pair(text: str, flag: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} expects LOW:HIGH, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} expects LOW:HIGH, got {text!r}") from None
+    return lo, hi
 
 
 def _parse_triplet(text: str, flag: str):
     """``LOW:HIGH:N`` of a grid axis, with finite bounds and N >= 0."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"{flag} expects LOW:HIGH:N, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"{flag} expects LOW:HIGH:N, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{flag} bounds must be finite, got {text!r}")
     if n < 0:

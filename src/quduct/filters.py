@@ -99,12 +99,13 @@ class FilterReport:
     t_rep_s: float
 
 
-def _lorentzian(linewidth_hz: float, span_hz: float | None, n_points: int):
+def _lorentzian(linewidth_hz: float, span_hz: float | None, n_points: int, dft_order=False):
     """Checked DFT grid and the un-notched amplitude response on it.
 
     Returns ``(span, f, h_f)``: the span in Hz, the detuning of each bin
     from the filter center, and the complex one-pole Lorentzian whose
-    power FWHM is ``linewidth_hz``.
+    power FWHM is ``linewidth_hz``, in ascending or with ``dft_order`` in
+    ``np.fft`` bin order; each bin holds the same bits either way.
     """
     span = 300.0 * linewidth_hz if span_hz is None else float(span_hz)
     if span < MIN_SPAN_LINEWIDTHS * linewidth_hz:
@@ -114,8 +115,12 @@ def _lorentzian(linewidth_hz: float, span_hz: float | None, n_points: int):
     if n_points < MIN_POINTS or (n_points & (n_points - 1)) != 0:
         raise ValueError(f"n_points must be a power of two >= {MIN_POINTS}")
     # detuning from filter center; the carrier phase is irrelevant to |h|^2
-    f = (np.arange(n_points) - n_points // 2) * (span / n_points)
-    return span, f, 1.0 / (1.0 + 1j * f / (linewidth_hz / 2.0))
+    k = np.arange(n_points) - n_points // 2
+    f = (np.fft.ifftshift(k) if dft_order else k) * (span / n_points)
+    h_f = np.multiply(1j, f)
+    h_f /= linewidth_hz / 2.0
+    np.add(1.0, h_f, out=h_f)
+    return span, f, np.divide(1.0, h_f, out=h_f)
 
 
 def _notch_bins(spec: FilterSpec, span: float, n_points: int) -> list:
@@ -161,42 +166,51 @@ def impulse_response(
     grid points, otherwise the discretisation cannot be trusted.  The
     default span of 300 linewidths at 2**20 points keeps every report
     field stable to better than 1e-3 under grid doubling.
-    """
-    span, f, h_f = _lorentzian(spec.linewidth_hz, span_hz, n_points)
-    notched = h_f.copy()
-    for first, covered in _notch_bins(spec, span, n_points):
-        notched[first:first + covered.size] *= np.sqrt(1.0 - covered)
 
+    One DFT-order spectrum buffer takes both ``n_points`` inverse DFTs, the
+    un-notched one (norm, wrap-around check) and then, in place, the notched
+    one; at 2**20 points the arrays peak near 43 MB beside the FFT scratch.
+    Values match ``ifft(ifftshift(h * phase))`` bit for bit.
+    """
+    span, f, spectrum = _lorentzian(spec.linewidth_hz, span_hz, n_points, dft_order=True)
     # sample the response at half-sample offsets (k + 1/2) dt so the causal
     # jump at t = 0 falls on a bin boundary instead of inside a bin; the
     # phase factor shifts the time grid and leaves all energies unchanged
-    half_shift = np.exp(1j * np.pi * f / span)
+    half_shift = np.multiply(1j * np.pi, f)
+    half_shift /= span
+    np.exp(half_shift, out=half_shift)
+    del f
 
-    def _time_energy(transfer):
-        h_t = np.fft.ifft(np.fft.ifftshift(transfer * half_shift))
-        return np.abs(h_t) ** 2
+    # natural bin i sits at (i - n/2) mod n in DFT order; a notch bin is
+    # (h * factor) * phase as on the full grid, a shared bin's factors in turn
+    runs = [((np.arange(first, first + covered.size) - n_points // 2) % n_points,
+             np.sqrt(1.0 - covered)) for first, covered in _notch_bins(spec, span, n_points)]
+    touched = np.unique(np.concatenate([i for i, _ in runs])) if runs else np.zeros(0, int)
+    notched = spectrum[touched]
+    for i, factor in runs:
+        notched[np.searchsorted(touched, i)] *= factor
+    notched *= half_shift[touched]
+    spectrum *= half_shift
+    del half_shift
 
-    reference = _time_energy(h_f)
+    reference = np.abs(np.fft.ifft(spectrum)) ** 2
     norm = float(reference.sum())
-    energy = _time_energy(notched) / norm
 
-    # wrap-around DFT ordering: bins past the midpoint are negative times
     dt = 1.0 / span
-    k = np.arange(n_points)
-    times = (np.where(k < n_points // 2, k, k - n_points) + 0.5) * dt
-
+    times = (np.arange(n_points) - n_points // 2 + 0.5) * dt
     # tail-energy check: an undecayed response wraps around the periodic
     # window and deposits energy near the |t| = T/2 boundary
-    reference /= norm
-    period = n_points * dt
-    boundary = np.abs(times) > 0.49 * period
-    if float(reference[boundary].sum()) > 1e-6:
+    boundary = np.fft.ifftshift(np.abs(times) > 0.49 * (n_points * dt))
+    if float((reference[boundary] / norm).sum()) > 1e-6:
         raise ValueError(
             "response has not decayed within the DFT window; increase span or n_points"
         )
 
-    order = np.argsort(times, kind="stable")
-    return ImpulseResponse(times_s=times[order], energy=energy[order], dt_s=dt)
+    del reference, boundary  # freed before the second FFT's scratch is taken
+    spectrum[touched] = notched
+    energy = np.abs(np.fft.ifft(spectrum, out=spectrum)) ** 2 / norm
+    # DFT order puts negative times second; the shift sorts them first
+    return ImpulseResponse(times_s=times, energy=np.fft.fftshift(energy), dt_s=dt)
 
 
 def check_t_rep(t_rep_s: float) -> None:
@@ -221,12 +235,13 @@ def filter_report(response: ImpulseResponse, t_rep_s: float) -> FilterReport:
     if total <= 0.0:
         return FilterReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t_rep_s)
     eta_notch = total  # un-notched total is 1 by normalisation
-    pre = float(e[t < 0.0].sum())
+    split = int(np.searchsorted(t, 0.0))  # times ascend: the negative ones lead
+    pre = float(e[:split].sum())
 
     # positive-time cumulative energy, linearly interpolated inside the
     # bin straddling a window edge so the split is stable in t_rep and
     # under grid refinement
-    e_pos = e[t >= 0.0]
+    e_pos = e[split:]
     cum = np.concatenate([[0.0], np.cumsum(e_pos)])
 
     def cum_at(x: float) -> float:

@@ -227,17 +227,14 @@ def emit_comparison(
     """
     if not records and not live_points:
         raise ValueError("nothing to emit: registry and live points both empty")
+    # every text is computed before the first write, so a bad input leaves no file
+    texts = {"scatter": scatter_csv(list(records) + list(live_points), direction=direction)}
+    if levels:
+        texts["contours"] = contour_csv(levels, throughput_range_hz)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
-
-    scatter_path = out_dir / f"scatter_{direction}.csv"
-    all_records = list(records) + list(live_points)
-    scatter_path.write_text(scatter_csv(all_records, direction=direction))
-    written["scatter"] = scatter_path
-
-    if levels:
-        contour_path = out_dir / f"contours_{direction}.csv"
-        contour_path.write_text(contour_csv(levels, throughput_range_hz))
-        written["contours"] = contour_path
+    for name, text in texts.items():
+        written[name] = out_dir / f"{name}_{direction}.csv"
+        written[name].write_text(text)
     return written

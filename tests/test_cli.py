@@ -209,8 +209,8 @@ def test_contours_csv(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--levels", "nan"), "contour levels must be positive, got nan"),
-        (("--levels", "inf"), "contour levels must be positive, got inf"),
+        (("--levels", "nan"), "contour levels must be positive and finite, got nan"),
+        (("--levels", "inf"), "contour levels must be positive and finite, got inf"),
         (("--levels", "10", "--throughput-range-hz", "nan:1e5"),
          "throughput range must be positive and increasing"),
         (("--levels", "10", "--throughput-range-hz", "1:nan"),
@@ -226,12 +226,35 @@ def test_contours_reject_nan_and_infinite_input(capsys, argv, message):
 
 
 def test_compare_writes_no_contour_file_for_a_nan_range(tmp_path, capsys):
+    # the contours fail after the scatter is computed: no file, not even the directory
+    out_dir = tmp_path / "cmp3"
     code, out, err = run(capsys, "compare", "--direction", "up", "--levels", "100",
-                         "--out-dir", str(tmp_path), "--throughput-range-hz", "1:nan")
+                         "--out-dir", str(out_dir), "--throughput-range-hz", "1:nan")
     assert code == 1
     assert out == ""
     assert err == "error: throughput range must be positive and increasing\n"
-    assert not (tmp_path / "contours_up.csv").exists()
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--range-hz", "1:x",
+          "--gamma-o-hz", "5"), "--range-hz expects LOW:HIGH, got '1:x'"),
+        (("contours", "--levels", "10", "--n-add-range", "0.1:x"),
+         "--n-add-range expects LOW:HIGH, got '0.1:x'"),
+        (("capacity", "--grid-eta", "0:0.5:1.5", "--grid-n-add", "0:1:2"),
+         "--grid-eta expects LOW:HIGH:N, got '0:0.5:1.5'"),
+        (("capacity", "--grid-eta", "0:0.5:3", "--grid-n-add", "0:y:2"),
+         "--grid-n-add expects LOW:HIGH:N, got '0:y:2'"),
+    ],
+    ids=["range-hz", "n-add-range", "grid-eta", "grid-n-add"],
+)
+def test_unparsable_range_fails_naming_its_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def _levels_argv(command, out_dir):

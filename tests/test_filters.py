@@ -208,6 +208,56 @@ def test_notch_runs_match_the_full_grid_formula(notch):
     assert run.tolist() == full.tolist()
 
 
+def _textbook_response(spec, span, n):
+    """Sorted times and energies of the two-FFT formulation, written out:
+    natural-order spectrum, full-grid notch factors, ifftshift, argsort."""
+    df = span / n
+    f = (np.arange(n) - n // 2) * df
+    h = 1.0 / (1.0 + 1j * f / (spec.linewidth_hz / 2.0))
+    notched = h.copy()
+    for low, high in spec.notches:
+        lo, hi = low - spec.center_hz, high - spec.center_hz
+        covered = np.clip((np.minimum(f + 0.5 * df, hi) - np.maximum(f - 0.5 * df, lo)) / df, 0, 1)
+        notched *= np.sqrt(1.0 - covered)
+    phase = np.exp(1j * np.pi * f / span)
+    reference = np.abs(np.fft.ifft(np.fft.ifftshift(h * phase))) ** 2
+    energy = np.abs(np.fft.ifft(np.fft.ifftshift(notched * phase))) ** 2 / float(reference.sum())
+    k = np.arange(n)
+    times = (np.where(k < n // 2, k, k - n) + 0.5) * (1.0 / span)
+    order = np.argsort(times, kind="stable")
+    return times[order], energy[order]
+
+
+@pytest.mark.parametrize("center_hz", [0.0, 1234.5])
+def test_impulse_response_matches_the_textbook_formulation_bit_for_bit(center_hz):
+    # one notch across the filter center, one ending on the upper span edge,
+    # and two a fraction of a bin apart that share a bin
+    span, n = 4e6, 2**16
+    df = span / n
+    spec = FilterSpec(linewidth_hz=LINEWIDTH, center_hz=center_hz, notches=(
+        (center_hz - 3.1e3, center_hz + 2.2e3),
+        (center_hz + 2e6 - 1.5e4, center_hz + 2e6),
+        (center_hz + 3e4, center_hz + 3e4 + 20.3 * df),
+        (center_hz + 3e4 + 20.6 * df, center_hz + 3e4 + 40 * df),
+    ))
+    assert len(spec.notches) == 4
+    response = impulse_response(spec, span_hz=span, n_points=n)
+    times, energy = _textbook_response(spec, span, n)
+    assert response.times_s.tobytes() == times.tobytes()
+    assert response.energy.tobytes() == energy.tobytes()
+    assert response.dt_s == 1.0 / span
+
+
+def test_wrap_around_check_rejects_an_undecayed_response():
+    # at 1e5 linewidths a 2**14-point window spans about one decay time
+    spec = FilterSpec(linewidth_hz=LINEWIDTH)
+    with pytest.raises(ValueError, match="response has not decayed within the DFT window"):
+        impulse_response(spec, span_hz=1e5 * LINEWIDTH, n_points=2**14)
+    # 2000 linewidths still fit the same window: the check passes
+    response = impulse_response(spec, span_hz=2000 * LINEWIDTH, n_points=2**14)
+    assert float(response.energy.sum()) == pytest.approx(1.0)
+
+
 def test_report_of_a_response_matches_analyze_filter():
     spec = scaled_preset_spec(1.0)
     response = impulse_response(spec, n_points=2**18)
