@@ -3,11 +3,11 @@
 Sweeps sample pump rates logarithmically and evaluate the selected noise
 model on the whole grid at once, pairing the added noise with the
 throughput at each point; these are the raw data behind throughput/noise
-tradeoff curves.  The optimizers run golden-section search on
-log-transformed rates: the objectives are smooth and unimodal in the
-regimes of interest and span decades, so log spacing is the natural
-metric.  Flat objectives are detected and resolved toward the lowest
-pump power.
+tradeoff curves.  The optimizers search log-spaced grids of the rates,
+each grid evaluated in one array call, and zoom in on the grid minimum:
+the objectives are smooth and unimodal in the regimes of interest and
+span decades, so log spacing is the natural metric.  Flat objectives
+are detected and resolved toward the lowest pump power.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ from .core import (
     rate_to_hz,
 )
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # objectives equal within this relative spread count as flat
 _FLAT_SPREAD = 1e-12
 
-# golden section stops when the log-axis bracket is this narrow
+# the search stops when every grid step on the log axes is this narrow
 _REL_TOL = 1e-6
-# log-spaced points of the coarse scan that brackets the minimum
-_COARSE_POINTS = 60
+# log-spaced points per axis of each grid the search evaluates
+_GRID_POINTS = 60
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,23 @@ class SweepSpec:
                      else np.array([axis], dtype=float) for axis in (self.gamma_e, self.gamma_o))
 
 
+def _evaluate(model: str, params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
+    """(total, terms, rejected) of ``model`` over arrays of rates.
+
+    ``rejected`` marks the points :func:`noise.evaluate` rejects: every
+    point of a device the model rejects, a nonfinite term or a negative
+    n_bar_e.
+    """
+    try:
+        terms = noise.terms(model, params, env, gamma_e, gamma_o)
+    except (ValueError, ArithmeticError):  # a device the model rejects
+        terms = (math.nan,) * 3
+    motional, electromagnetic, correlation = terms
+    finite = np.isfinite(motional) & np.isfinite(electromagnetic) & np.isfinite(correlation)
+    rejected = ~finite | (noise.n_bar_e(env, gamma_e) < 0.0)
+    return motional + electromagnetic - correlation, terms, rejected
+
+
 def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> dict:
     """Evaluate the selected model over the grid of log-spaced operating points.
 
@@ -96,15 +111,9 @@ def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> dict:
     eta = params.gain_total * params.eta_m * (4.0 * gamma_e * gamma_o / (gamma_t * gamma_t))
     columns = {"gamma_e": gamma_e, "gamma_o": gamma_o}
     columns["throughput_hz"] = eta * rate_to_hz(gamma_t) * spec.duty
-    try:
-        terms = noise.terms(spec.model, params, env, gamma_e, gamma_o)
-    except (ValueError, ArithmeticError):  # a device the model rejects
-        terms = (math.nan,) * 3
-    motional, electromagnetic, correlation = terms
-    finite = np.isfinite(motional) & np.isfinite(electromagnetic) & np.isfinite(correlation)
-    rejected = ~finite | (noise.n_bar_e(env, gamma_e) < 0.0)
+    total, terms, rejected = _evaluate(spec.model, params, env, gamma_e, gamma_o)
     names = ("total", "motional", "electromagnetic", "correlation")
-    for name, value in zip(names, (motional + electromagnetic - correlation, *terms)):
+    for name, value in zip(names, (total, *terms)):
         columns[name] = np.where(rejected, math.nan, value)
     negative = np.count_nonzero(columns["total"] < 0.0)
     if negative:
@@ -124,41 +133,62 @@ class OptimumResult:
     flat_objective: bool = False
 
 
-def _golden_min(fn, lo: float, hi: float) -> float:
-    """Golden-section minimum of fn over [lo, hi] on a log axis."""
-    a, b = math.log(lo), math.log(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    while (b - a) > _REL_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(math.exp(d))
-    return math.exp(0.5 * (a + b))
+def _optimum(model: str, params: DeviceParams, env: NoiseEnvironment, duty: float,
+             brackets: dict, rates) -> OptimumResult:
+    """Grid-and-zoom minimum of ``model``'s total on one log axis per bracket.
 
+    ``brackets`` maps each axis's name to its (low, high) range, outer axis
+    first; ``rates`` turns axis values into (gamma_e, gamma_o).  On the
+    first grid, each axis's profile (its minimum over the inner axes, on
+    the row the outer axes chose) holds the axis at its low end if flat,
+    or at the end where it is least (at_boundary).  Each zoom re-grids the
+    other axes one step either side of the argmin, clipped to the bracket,
+    until every step is below ``_REL_TOL``.  At a grid point that
+    :func:`noise.evaluate` rejects, the first in C order, it raises.
+    """
+    for name, bracket in brackets.items():
+        lo, hi = bracket
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"{name} must be finite, positive and increasing, got {bracket!r}")
 
-def _minimize_log_axis(fn, bracket):
-    """Coarse scan then golden section; flags boundary and flat outcomes."""
-    lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError("bracket must be positive and increasing")
-    xs = np.geomspace(lo, hi, _COARSE_POINTS)
-    ys = np.array([fn(x) for x in xs])
-    spread = float(ys.max() - ys.min())
-    if spread <= _FLAT_SPREAD * max(abs(float(ys.max())), 1e-300):
-        return lo, True, False  # flat: lowest pump power wins
-    k = int(np.argmin(ys))
-    if k == 0:
-        return float(xs[0]), False, True
-    if k == len(xs) - 1:
-        return float(xs[-1]), False, True
-    x_best = _golden_min(fn, float(xs[k - 1]), float(xs[k + 1]))
-    return x_best, False, False
+    def point(*values) -> OperatingPoint:
+        gamma_e, gamma_o = rates(*map(float, values))
+        return OperatingPoint(gamma_e=gamma_e, gamma_o=gamma_o, duty=duty)
+
+    def grid_total(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        with np.errstate(all="ignore"):  # a rejected point raises below
+            total, _, rejected = _evaluate(model, params, env, *rates(*mesh))
+        if rejected.any():
+            first = np.unravel_index(np.argmax(rejected), rejected.shape)
+            noise.evaluate(model, params, point(*(m[first] for m in mesh)), env)
+        return total
+
+    point(*(lo for lo, _ in brackets.values()))  # the duty and fixed rate, before the search
+    axes = [np.geomspace(lo, hi, _GRID_POINTS) for lo, hi in brackets.values()]
+    total = grid_total(axes)
+    flats, at_boundary, row = [], False, total
+    for d, axis in enumerate(axes):
+        profile = row.min(axis=tuple(range(1, row.ndim)))
+        top = float(profile.max())
+        flat = top - float(profile.min()) <= _FLAT_SPREAD * max(abs(top), 1e-300)
+        k = 0 if flat else int(np.argmin(profile))  # flat: lowest pump power wins
+        if flat or k in (0, len(axis) - 1):  # the axis is held at axis[k]
+            at_boundary |= not flat
+            axes[d], total = axis[k:k + 1], np.take(total, [k], axis=d)
+        flats.append(flat)
+        row = row[k]
+    while True:
+        best = [axis[i] for axis, i in zip(axes, np.unravel_index(np.argmin(total), total.shape))]
+        steps = [math.log(axis[-1] / axis[0]) / max(len(axis) - 1, 1) for axis in axes]
+        if max(steps) <= _REL_TOL:
+            break
+        axes = [axis if len(axis) == 1 else np.geomspace(
+            max(lo, x / math.exp(step)), min(hi, x * math.exp(step)), _GRID_POINTS)
+            for axis, x, step, (lo, hi) in zip(axes, best, steps, brackets.values())]
+        total = grid_total(axes)
+    op = point(*best)
+    return OptimumResult(op, noise.evaluate(model, params, op, env), at_boundary, all(flats))
 
 
 def optimize_up(
@@ -176,19 +206,8 @@ def optimize_up(
     no rising term the optimum sits on the bracket boundary and is
     flagged as such.
     """
-
-    def objective(gamma_e: float) -> float:
-        op = OperatingPoint(gamma_e=gamma_e, gamma_o=gamma_o_fixed, duty=duty)
-        return noise.evaluate(model, params, op, env).total
-
-    best, flat, boundary = _minimize_log_axis(objective, bracket)
-    op = OperatingPoint(gamma_e=best, gamma_o=gamma_o_fixed, duty=duty)
-    return OptimumResult(
-        op=op,
-        budget=noise.evaluate(model, params, op, env),
-        at_boundary=boundary,
-        flat_objective=flat,
-    )
+    return _optimum(model, params, env, duty, {"bracket": bracket},
+                    lambda gamma_e: (gamma_e, gamma_o_fixed))
 
 
 def optimize_down(
@@ -201,29 +220,9 @@ def optimize_down(
 ) -> OptimumResult:
     """Minimise downconversion added noise over (gamma_o, gamma_e/gamma_o).
 
-    Nested golden-section search: the outer loop walks gamma_o, the
-    inner loop finds the best rate ratio at that gamma_o.  Boundary
-    optima on either axis are flagged.
+    One grid-and-zoom search over both log axes, gamma_o outer and the
+    rate ratio inner.  Boundary optima on either axis are flagged.
     """
-    def total(ratio: float, gamma_o: float) -> float:
-        op = OperatingPoint(gamma_e=ratio * gamma_o, gamma_o=gamma_o, duty=duty)
-        return noise.evaluate(model, params, op, env).total
-
-    def best_ratio(gamma_o: float):
-        """(ratio, flat, boundary) of the inner search at ``gamma_o``."""
-        return _minimize_log_axis(lambda ratio: total(ratio, gamma_o), ratio_bracket)
-
-    def outer(gamma_o: float) -> float:
-        return total(best_ratio(gamma_o)[0], gamma_o)
-
-    gamma_o_best, outer_flat, outer_boundary = _minimize_log_axis(outer, gamma_o_bracket)
-    ratio_best, inner_flat, inner_boundary = best_ratio(gamma_o_best)
-    op = OperatingPoint(
-        gamma_e=ratio_best * gamma_o_best, gamma_o=gamma_o_best, duty=duty
-    )
-    return OptimumResult(
-        op=op,
-        budget=noise.evaluate(model, params, op, env),
-        at_boundary=outer_boundary or inner_boundary,
-        flat_objective=outer_flat and inner_flat,
-    )
+    return _optimum(model, params, env, duty,
+                    {"gamma_o_bracket": gamma_o_bracket, "ratio_bracket": ratio_bracket},
+                    lambda gamma_o, ratio: (ratio * gamma_o, gamma_o))

@@ -767,6 +767,56 @@ def test_optimize_down_rejects_gamma_o(capsys):
     assert err == "error: --gamma-o-hz is not used with --direction down\n"
 
 
+BAD_BOUNDS = {"nan": "nan:{hi}", "inf": "{lo}:inf", "reversed": "{hi}:{lo}", "zero": "0:{hi}"}
+
+
+@pytest.mark.parametrize("case", list(BAD_BOUNDS))
+@pytest.mark.parametrize(
+    "mode, flag, name, lo, hi",
+    [
+        (("up", "--gamma-o-hz", "11000"), "--bracket-hz", "bracket", 10.0, 1e7),
+        (("down",), "--bracket-hz", "gamma_o_bracket", 10.0, 1e7),
+        (("down",), "--ratio-bracket", "ratio_bracket", 1e-3, 1e3),
+    ],
+    ids=["up", "down-gamma-o", "down-ratio"],
+)
+def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode, flag, name, lo, hi):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the noise model ran before the bracket was checked")
+
+    monkeypatch.setattr(noise, "terms", not_reached)
+    monkeypatch.setattr(noise, "evaluate", not_reached)
+    text = BAD_BOUNDS[case].format(lo=lo, hi=hi)
+    code, out, err = run(
+        capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", *mode, flag, text,
+    )
+    bracket = tuple(float(x) for x in text.split(":"))
+    if flag == "--bracket-hz":
+        bracket = tuple(rate_from_hz(x) for x in bracket)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} must be finite, positive and increasing, got {bracket!r}\n"
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        (("up", "--gamma-o-hz", "11000"), "n_bar_e = -0.03182 at gamma_e = 4.598e+05 rad/s"),
+        (("down",), "n_bar_e = -0.1227 at gamma_e = 5.169e+05 rad/s"),
+    ],
+    ids=["up", "down"],
+)
+def test_optimize_names_the_first_rejected_grid_point(tmp_path, capsys, mode, message):
+    # the occupancy turns negative above gamma_e = 0.7 / 1e-5 Hz, inside the
+    # searched grid; the error names the first such point in scan order
+    cfg = _write_config(tmp_path / "negative_slope.cfg", a_e_per_hz=-1e-5)
+    code, out, err = run(capsys, "optimize", "--config", cfg, "--direction", *mode)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: occupancy model gives negative {message}; "
+                   "coefficients are invalid there\n")
+
+
 # Each mode rejection: the argv up to the rejected flag, then the flag with
 # its own default value where it has one, so that "given" is shown to mean
 # on the command line and not different from the default.

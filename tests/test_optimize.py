@@ -350,3 +350,45 @@ def test_sweep_spec_validation():
         optimize.SweepSpec(gamma_e=(1e4, 1e3), gamma_o=1.0, n_samples=5)
     with pytest.raises(ValueError, match=r"duty cycle must be in \(0, 1\], got 0.0"):
         optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o=1.0, n_samples=5, duty=0.0)
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_optimizer_evaluates_the_budget_only_at_the_optimum(monkeypatch, direction):
+    calls = []
+    evaluate = noise.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(noise, "evaluate", counted)
+    if direction == "up":
+        result = optimize.optimize_up(EXAMPLE.device, EXAMPLE.environment,
+                                      gamma_o_fixed=rate_from_hz(11e3))
+    else:
+        result = optimize.optimize_down(EXAMPLE.device, EXAMPLE.environment)
+    assert len(calls) == 1
+    assert calls[0][2] == result.op
+
+
+@pytest.mark.parametrize(
+    "model", [noise.MODEL_LOSSY_DOWN, noise.MODEL_IDEAL_DOWN, noise.MODEL_IDEAL_DOWN_COMBINED]
+)
+def test_optimize_down_beats_its_first_grid(model):
+    # the 60x60 log grid of the default brackets, gamma_o outer
+    gamma_o, ratio = np.meshgrid(
+        np.geomspace(rate_from_hz(10.0), rate_from_hz(1e7), 60), np.geomspace(1e-3, 1e3, 60),
+        indexing="ij",
+    )
+    motional, electromagnetic, correlation = noise.terms(
+        model, EXAMPLE.device, EXAMPLE.environment, ratio * gamma_o, gamma_o
+    )
+    result = optimize.optimize_down(EXAMPLE.device, EXAMPLE.environment, model=model)
+    assert not result.at_boundary
+    assert result.budget.total <= np.min(motional + electromagnetic - correlation)
+
+
+def test_optimize_down_raises_for_a_device_the_model_rejects():
+    params = dataclasses.replace(EXAMPLE.device, eta_m=0.0)
+    with pytest.raises(ValueError, match=r"eta_m must be positive here \(division\)"):
+        optimize.optimize_down(params, EXAMPLE.environment, model=noise.MODEL_LOSSY_DOWN)
