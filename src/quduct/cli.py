@@ -103,9 +103,16 @@ def _levels(text: str) -> list:
         raise ValueError(f"--levels expects comma-separated numbers, got {text!r}") from None
 
 
-def _rate_range(text: str, flag: str):
+def _positive_range(text: str, flag: str):
+    """``LOW:HIGH`` of a rate axis or bracket, failing unless 0 < LOW < HIGH < inf."""
     lo, hi = _parse_pair(text, flag)
-    return rate_from_hz(lo), rate_from_hz(hi)
+    if not 0.0 < lo < hi < math.inf:  # written so that nan fails
+        raise ValueError(f"{flag} must be finite, positive and increasing, got {text!r}")
+    return lo, hi
+
+
+def _rate_range(text: str, flag: str):
+    return tuple(map(rate_from_hz, _positive_range(text, flag)))
 
 
 def _model_for(direction: str, style: str) -> str:
@@ -215,7 +222,7 @@ def _cmd_optimize(args):
         model = _model_for("down", args.model)
         result = optimize.optimize_down(
             cfg.device, cfg.environment, gamma_o_bracket=bracket,
-            ratio_bracket=_parse_pair(args.ratio_bracket, "--ratio-bracket"),
+            ratio_bracket=_positive_range(args.ratio_bracket, "--ratio-bracket"),
             model=model, duty=args.duty,
         )
     budget = result.budget

@@ -42,8 +42,8 @@ class SweepSpec:
     """What to sweep and what to hold fixed.
 
     ``gamma_e`` and ``gamma_o`` are each either a (low, high) tuple, an
-    axis to sweep, or a fixed rate (rad/s).  At least one must be swept;
-    ``n_samples`` applies per swept axis.
+    axis to sweep, or a fixed rate (rad/s), positive and finite.  At least
+    one must be swept; ``n_samples`` applies per swept axis.
     """
 
     gamma_e: float | tuple
@@ -57,10 +57,11 @@ class SweepSpec:
             raise ValueError("n_samples must be at least 1")
         for name, axis in (("gamma_e", self.gamma_e), ("gamma_o", self.gamma_o)):
             if isinstance(axis, tuple):
-                if not (len(axis) == 2 and 0 < axis[0] < axis[1]):
-                    raise ValueError(f"{name} needs an increasing positive (low, high) range")
-            elif not (isinstance(axis, (int, float)) and axis > 0):
-                raise ValueError(f"{name} needs a fixed positive rate")
+                if not (len(axis) == 2 and 0 < axis[0] < axis[1] < math.inf):
+                    raise ValueError(f"{name} needs an increasing positive (low, high) range"
+                                     f" below inf, got {axis!r}")
+            elif not (isinstance(axis, (int, float)) and 0 < axis < math.inf):
+                raise ValueError(f"{name} needs a fixed positive rate below inf, got {axis!r}")
         if not (isinstance(self.gamma_e, tuple) or isinstance(self.gamma_o, tuple)):
             raise ValueError("nothing to sweep: give gamma_e or gamma_o a (low, high) range")
         if not 0.0 < self.duty <= 1.0:

@@ -772,15 +772,15 @@ BAD_BOUNDS = {"nan": "nan:{hi}", "inf": "{lo}:inf", "reversed": "{hi}:{lo}", "ze
 
 @pytest.mark.parametrize("case", list(BAD_BOUNDS))
 @pytest.mark.parametrize(
-    "mode, flag, name, lo, hi",
+    "mode, flag, lo, hi",
     [
-        (("up", "--gamma-o-hz", "11000"), "--bracket-hz", "bracket", 10.0, 1e7),
-        (("down",), "--bracket-hz", "gamma_o_bracket", 10.0, 1e7),
-        (("down",), "--ratio-bracket", "ratio_bracket", 1e-3, 1e3),
+        (("up", "--gamma-o-hz", "11000"), "--bracket-hz", 10.0, 1e7),
+        (("down",), "--bracket-hz", 10.0, 1e7),
+        (("down",), "--ratio-bracket", 1e-3, 1e3),
     ],
     ids=["up", "down-gamma-o", "down-ratio"],
 )
-def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode, flag, name, lo, hi):
+def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode, flag, lo, hi):
     def not_reached(*args, **kwargs):
         raise AssertionError("the noise model ran before the bracket was checked")
 
@@ -790,12 +790,32 @@ def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode,
     code, out, err = run(
         capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", *mode, flag, text,
     )
-    bracket = tuple(float(x) for x in text.split(":"))
-    if flag == "--bracket-hz":
-        bracket = tuple(rate_from_hz(x) for x in bracket)
     assert code == 1
     assert out == ""
-    assert err == f"error: {name} must be finite, positive and increasing, got {bracket!r}\n"
+    assert err == f"error: {flag} must be finite, positive and increasing, got {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        (("--range-hz", "10:inf", "--gamma-o-hz", "1000"),
+         "--range-hz must be finite, positive and increasing, got '10:inf'"),
+        (("--range-hz", "10:100", "--gamma-o-hz", "inf"),
+         "gamma_o needs a fixed positive rate below inf, got inf"),
+        (("--variable", "gamma-o", "--range-hz", "10:100", "--gamma-e-hz", "inf"),
+         "gamma_e needs a fixed positive rate below inf, got inf"),
+        (("--variable", "both", "--range-hz", "10:100", "--range2-hz", "nan:100"),
+         "--range2-hz must be finite, positive and increasing, got 'nan:100'"),
+    ],
+    ids=["range-hz", "gamma-o-hz", "gamma-e-hz", "range2-hz"],
+)
+def test_sweep_rejects_an_infinite_rate_by_name(capsys, rates, message):
+    code, out, err = run(
+        capsys, "sweep", "--config", EXAMPLE_CFG, "--direction", "down", "--n", "3", *rates,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

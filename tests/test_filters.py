@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,22 +158,100 @@ def test_preset_report_in_published_ranges():
     assert 0.06 <= report.tail_noise_photons <= 0.12
 
 
-def test_tuner_steps_match_the_fft_route(monkeypatch):
-    # each bisection step reads eta_notch from the spectrum; by Parseval's
-    # theorem it is the value a full FFT analysis of the same spec gives
+def _grid_sum_bisection(span_hz, n_points):
+    """The preset width bisection with each step's eta_notch summed over the
+    bins of the impulse_response grid, 1 - sum |H|^2 covered / sum |H|^2,
+    which by Parseval's theorem is what an FFT analysis of the step gives.
+
+    Returns the (spec, eta_notch) of every step, the tuned spec last.
+    """
+    span = 300.0 * PRESET_LINEWIDTH_HZ if span_hz is None else span_hz
+    f = (np.arange(n_points) - n_points // 2) * (span / n_points)
+    power = np.abs(1.0 / (1.0 + 1j * f / (PRESET_LINEWIDTH_HZ / 2.0))) ** 2
+    power /= power.sum()
+    steps, lo, hi = [], 0.05, 10.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        spec = scaled_preset_spec(mid)
+        eta_notch = 1.0 - sum(float(power[first:first + covered.size] @ covered)
+                              for first, covered in _notch_bins(spec, span, n_points))
+        steps.append((spec, eta_notch))
+        if abs(eta_notch - filters.PRESET_ETA_NOTCH) <= filters.PRESET_TOLERANCE:
+            return steps
+        if eta_notch > filters.PRESET_ETA_NOTCH:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("the reference bisection did not converge")
+
+
+def _closed_form_eta_notch(spec, span):
+    """Share of the one-pole Lorentzian, truncated to ``span``, left by the notches."""
+    gamma = spec.linewidth_hz
+    notched = sum(math.atan(2 * (b - spec.center_hz) / gamma)
+                  - math.atan(2 * (a - spec.center_hz) / gamma) for a, b in spec.notches)
+    return 1.0 - notched / (2 * math.atan(span / gamma))
+
+
+def _band_side(eta_notch):
+    """-1 below the preset tolerance band, 0 inside it, 1 above it."""
+    offset = eta_notch - filters.PRESET_ETA_NOTCH
+    return 0 if abs(offset) <= filters.PRESET_TOLERANCE else int(math.copysign(1, offset))
+
+
+# the default grid, then spans of 50 to 2300 linewidths at 2**16 to 2**20 points
+TUNING_GRIDS = [(None, 2**20)] + [
+    (k * PRESET_LINEWIDTH_HZ, n) for k in (50, 120, 300, 800, 2300) for n in (2**16, 2**18, 2**20)
+]
+
+
+def test_tuner_matches_the_grid_sum_bisection():
+    accepted = 0
+    for span_hz, n_points in TUNING_GRIDS:
+        try:
+            steps = _grid_sum_bisection(span_hz, n_points)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                tuned_preset(span_hz, n_points)
+            assert str(raised.value) == str(error), (span_hz, n_points)
+            continue
+        accepted += 1
+        assert tuned_preset(span_hz, n_points) == steps[-1][0], (span_hz, n_points)
+        span = 300.0 * PRESET_LINEWIDTH_HZ if span_hz is None else span_hz
+        for spec, eta_notch in steps:
+            closed = _closed_form_eta_notch(spec, span)
+            assert abs(closed - eta_notch) <= 1e-6, (span_hz, n_points, spec.notches)
+            assert _band_side(closed) == _band_side(eta_notch), (span_hz, n_points, spec.notches)
+    assert accepted == 11
+
+
+def test_tuner_steps_fall_on_the_fft_side_of_the_band(monkeypatch):
+    # every candidate the tuner tries at the default grid is judged by its
+    # closed-form eta_notch as a full FFT analysis of it would be judged
     steps = []
-    spectral = filters._spectral_eta_notch
+    scaled = filters.scaled_preset_spec
 
-    def recorded(spec, span, power):
-        steps.append((spec, spectral(spec, span, power)))
-        return steps[-1][1]
+    def recorded(width_scale):
+        steps.append(scaled(width_scale))
+        return steps[-1]
 
-    monkeypatch.setattr(filters, "_spectral_eta_notch", recorded)
+    monkeypatch.setattr(filters, "scaled_preset_spec", recorded)
     tuned = tuned_preset()
     assert len(steps) == 9
-    assert tuned is steps[-1][0]
-    for spec, eta_notch in steps:
-        assert abs(eta_notch - analyze_filter(spec).eta_notch) <= 1e-12, spec.notches
+    assert tuned is steps[-1]
+    for spec in steps:
+        closed = _closed_form_eta_notch(spec, 300.0 * PRESET_LINEWIDTH_HZ)
+        assert _band_side(closed) == _band_side(analyze_filter(spec).eta_notch), spec.notches
+
+
+def test_tuning_the_preset_allocates_no_grid():
+    tracemalloc.start()
+    try:
+        tuned_preset(n_points=2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_tuned_preset_notches():

@@ -348,6 +348,15 @@ def test_sweep_spec_validation():
         optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o="1e3", n_samples=5)  # a number
     with pytest.raises(ValueError, match="gamma_e needs an increasing positive"):
         optimize.SweepSpec(gamma_e=(1e4, 1e3), gamma_o=1.0, n_samples=5)
+    # infinite or nan rates, swept or fixed, fail naming their axis
+    with pytest.raises(ValueError, match=r"gamma_e needs .* range below inf, got \(1000.0, inf\)"):
+        optimize.SweepSpec(gamma_e=(1e3, math.inf), gamma_o=1e3, n_samples=3)
+    with pytest.raises(ValueError, match=r"gamma_o needs .* range below inf, got \(nan, 10000.0\)"):
+        optimize.SweepSpec(gamma_e=1e3, gamma_o=(math.nan, 1e4), n_samples=3)
+    with pytest.raises(ValueError, match="gamma_o needs a fixed positive rate below inf, got inf"):
+        optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o=math.inf, n_samples=3)
+    with pytest.raises(ValueError, match="gamma_e needs a fixed positive rate below inf, got inf"):
+        optimize.SweepSpec(gamma_e=math.inf, gamma_o=(1e3, 1e4), n_samples=3)
     with pytest.raises(ValueError, match=r"duty cycle must be in \(0, 1\], got 0.0"):
         optimize.SweepSpec(gamma_e=(1e3, 1e4), gamma_o=1.0, n_samples=5, duty=0.0)
 
