@@ -115,6 +115,19 @@ def _rate_range(text: str, flag: str):
     return tuple(map(rate_from_hz, _positive_range(text, flag)))
 
 
+def _fixed_rate(text, flag: str, swept: str) -> float:
+    """``flag``'s rate in Hz, held fixed while ``swept`` runs, as rad/s."""
+    if text is None:
+        raise ValueError(f"sweeping {swept} needs {flag}")
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = math.nan
+    if not 0.0 < rate < math.inf:  # written so that nan fails
+        raise ValueError(f"{flag} must be finite and positive, got {text!r}")
+    return rate_from_hz(rate)
+
+
 def _model_for(direction: str, style: str) -> str:
     table = {
         ("up", "lossy"): noise.MODEL_LOSSY_UP,
@@ -175,13 +188,9 @@ def _cmd_sweep(args):
     model = _model_for(args.direction, args.model)
     gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
     if args.variable == "gamma-e":
-        if args.gamma_o_hz is None:
-            raise ValueError("sweeping gamma_e needs --gamma-o-hz")
-        gamma_o = rate_from_hz(args.gamma_o_hz)
+        gamma_o = _fixed_rate(args.gamma_o_hz, "--gamma-o-hz", "gamma_e")
     elif args.variable == "gamma-o":
-        if args.gamma_e_hz is None:
-            raise ValueError("sweeping gamma_o needs --gamma-e-hz")
-        gamma_e = rate_from_hz(args.gamma_e_hz)
+        gamma_e = _fixed_rate(args.gamma_e_hz, "--gamma-e-hz", "gamma_o")
     else:
         if args.range2_hz is None:
             raise ValueError("sweeping both needs --range2-hz for gamma_o")
@@ -309,10 +318,8 @@ def _cmd_filter_analysis(args) -> int:
             center_hz=args.center_hz,
             notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch),
         )
-    t_rep = args.t_rep_s
-    if t_rep is None:
-        t_rep = args.t_rep_mult / spec.gamma_t
-    filters.check_t_rep(t_rep)  # before the FFTs, which take most of the run
+    t_rep = args.t_rep_mult / spec.gamma_t if args.t_rep_s is None else args.t_rep_s
+    filters.check_t_rep(t_rep)  # before the FFT, which takes most of the run
     # one response serves both the report and the trace
     response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
     report = filters.filter_report(response, t_rep)
@@ -446,8 +453,8 @@ COMMANDS = {
         "--range-hz": dict(required=True, help="LOW:HIGH for the swept rate"),
         "--range2-hz": dict(help="LOW:HIGH for gamma_o when sweeping both"),
         "--n": dict(type=int, default=50),
-        "--gamma-e-hz": dict(type=float),
-        "--gamma-o-hz": dict(type=float),
+        "--gamma-e-hz": {},
+        "--gamma-o-hz": {},
         "--model": dict(choices=MODELS, default="lossy"),
         "--duty": dict(type=float, default=1.0),
         "--out": {},

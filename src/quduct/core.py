@@ -127,8 +127,9 @@ class OperatingPoint:
     duty: float = 1.0
 
     def __post_init__(self):
-        if self.gamma_e < 0 or self.gamma_o < 0:
-            raise ValueError("coupling rates must be nonnegative")
+        for name, rate in (("gamma_e", self.gamma_e), ("gamma_o", self.gamma_o)):
+            if not 0.0 <= rate < math.inf:  # written so that nan fails
+                raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
         if not 0.0 < self.duty <= 1.0:
             raise ValueError(f"duty cycle must be in (0, 1], got {self.duty}")
 

@@ -121,8 +121,7 @@ def _notch_bins(spec: FilterSpec, span: float, n_points: int) -> list:
     half_span = span / 2.0
     bins = []
     for low, high in spec.notches:
-        lo = low - spec.center_hz
-        hi = high - spec.center_hz
+        lo, hi = low - spec.center_hz, high - spec.center_hz
         if lo < -half_span or hi > half_span:
             raise ValueError(f"notch ({low}, {high}) Hz lies outside the span")
         if (hi - lo) / df < MIN_NOTCH_SAMPLES:
@@ -154,12 +153,24 @@ def impulse_response(
     default span of 300 linewidths at 2**20 points keeps every report
     field stable to better than 1e-3 under grid doubling.
 
-    One DFT-order spectrum buffer takes both ``n_points`` inverse DFTs, the
-    un-notched one (norm, wrap-around check) and then, in place, the notched
-    one; at 2**20 points the arrays peak near 43 MB beside the FFT scratch.
-    Values match ``ifft(ifftshift(h * phase))`` bit for bit.
+    One inverse DFT, in place on a DFT-order buffer, gives the notched
+    response, divided by the un-notched energy by Parseval's theorem,
+    sum |h_f|^2 / n_points (within 3e-15 of an inverse DFT's sum at 2**14
+    to 2**20 points).  An undecayed response wraps around the window
+    T = n_points / span: with aT = Gamma_T T, the periodised exp(-Gamma_T t)
+    puts (exp(-0.49 aT) - exp(-0.51 aT)) / (1 - exp(-aT)) of its energy
+    within 0.01 T of |t| = T/2, rejected above 1e-6; an inverse DFT's share
+    decides alike over 50 to 2e5 linewidths at 2**14 to 2**18 points, and
+    agrees within 1.3e-3 where it is at least 1e-9.  Both checks precede any
+    grid; the memory peak is the buffer plus numpy's FFT plan and scratch,
+    16 + 32 MB at 2**20 points.
     """
     span = _checked_span(spec.linewidth_hz, span_hz, n_points)
+    notch_bins = _notch_bins(spec, span, n_points)
+    a_t = spec.gamma_t * n_points / span
+    if (math.exp(-0.49 * a_t) - math.exp(-0.51 * a_t)) / -math.expm1(-a_t) > 1e-6:
+        raise ValueError("response has not decayed within the DFT window; "
+                         "increase span or n_points")
     # detuning of each DFT-order bin from the filter center, and the complex
     # one-pole Lorentzian on it; the carrier phase is irrelevant to |h|^2
     f = np.fft.ifftshift(np.arange(n_points) - n_points // 2) * (span / n_points)
@@ -172,37 +183,18 @@ def impulse_response(
     # phase factor shifts the time grid and leaves all energies unchanged
     half_shift = np.multiply(1j * np.pi, f)
     half_shift /= span
-    np.exp(half_shift, out=half_shift)
-    del f
-
-    # natural bin i sits at (i - n/2) mod n in DFT order; a notch bin is
-    # (h * factor) * phase as on the full grid, a shared bin's factors in turn
-    runs = [((np.arange(first, first + covered.size) - n_points // 2) % n_points,
-             np.sqrt(1.0 - covered)) for first, covered in _notch_bins(spec, span, n_points)]
-    touched = np.unique(np.concatenate([i for i, _ in runs])) if runs else np.zeros(0, int)
-    notched = spectrum[touched]
-    for i, factor in runs:
-        notched[np.searchsorted(touched, i)] *= factor
-    notched *= half_shift[touched]
-    spectrum *= half_shift
-    del half_shift
-
-    reference = np.abs(np.fft.ifft(spectrum)) ** 2
-    norm = float(reference.sum())
-
+    spectrum *= np.exp(half_shift, out=half_shift)
+    del f, half_shift
+    norm = np.vdot(spectrum, spectrum).real / n_points
+    for first, covered in notch_bins:  # natural bin i is DFT bin (i - n/2) mod n
+        bins = (np.arange(first, first + covered.size) - n_points // 2) % n_points
+        spectrum[bins] *= np.sqrt(1.0 - covered)
+    energy = np.abs(np.fft.ifft(spectrum, out=spectrum))
+    del spectrum  # |h|^2 takes one float buffer once the complex one is freed
+    energy **= 2
+    energy /= norm
     dt = 1.0 / span
     times = (np.arange(n_points) - n_points // 2 + 0.5) * dt
-    # tail-energy check: an undecayed response wraps around the periodic
-    # window and deposits energy near the |t| = T/2 boundary
-    boundary = np.fft.ifftshift(np.abs(times) > 0.49 * (n_points * dt))
-    if float((reference[boundary] / norm).sum()) > 1e-6:
-        raise ValueError(
-            "response has not decayed within the DFT window; increase span or n_points"
-        )
-
-    del reference, boundary  # freed before the second FFT's scratch is taken
-    spectrum[touched] = notched
-    energy = np.abs(np.fft.ifft(spectrum, out=spectrum)) ** 2 / norm
     # DFT order puts negative times second; the shift sorts them first
     return ImpulseResponse(times_s=times, energy=np.fft.fftshift(energy), dt_s=dt)
 

@@ -91,6 +91,25 @@ def test_noise_row(capsys):
     assert float(fields[-1]) > 0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("noise", "--direction", "up", "--gamma-e-hz", "{}", "--gamma-o-hz", "1000"), "gamma_e"),
+        (("noise", "--direction", "down", "--gamma-e-hz", "1000", "--gamma-o-hz", "{}"),
+         "gamma_o"),
+        (("optimize", "--direction", "up", "--gamma-o-hz", "{}"), "gamma_o"),
+    ],
+    ids=["noise-gamma-e", "noise-gamma-o", "optimize-gamma-o"],
+)
+def test_a_nonfinite_fixed_rate_is_rejected_by_name(capsys, argv, name, value):
+    argv = [arg.format(value) for arg in argv]
+    code, out, err = run(capsys, *argv, "--config", EXAMPLE_CFG)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} must be finite and nonnegative, got {value}\n"
+
+
 def test_noise_needs_an_operating_point(capsys):
     code, _, err = run(
         capsys, "noise", "--config", EXAMPLE_CFG, "--direction", "up",
@@ -801,13 +820,18 @@ def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode,
         (("--range-hz", "10:inf", "--gamma-o-hz", "1000"),
          "--range-hz must be finite, positive and increasing, got '10:inf'"),
         (("--range-hz", "10:100", "--gamma-o-hz", "inf"),
-         "gamma_o needs a fixed positive rate below inf, got inf"),
+         "--gamma-o-hz must be finite and positive, got 'inf'"),
         (("--variable", "gamma-o", "--range-hz", "10:100", "--gamma-e-hz", "inf"),
-         "gamma_e needs a fixed positive rate below inf, got inf"),
+         "--gamma-e-hz must be finite and positive, got 'inf'"),
+        (("--range-hz", "10:100", "--gamma-o-hz", "-5"),
+         "--gamma-o-hz must be finite and positive, got '-5'"),
+        (("--variable", "gamma-o", "--range-hz", "10:100", "--gamma-e-hz", "x"),
+         "--gamma-e-hz must be finite and positive, got 'x'"),
         (("--variable", "both", "--range-hz", "10:100", "--range2-hz", "nan:100"),
          "--range2-hz must be finite, positive and increasing, got 'nan:100'"),
     ],
-    ids=["range-hz", "gamma-o-hz", "gamma-e-hz", "range2-hz"],
+    ids=["range-hz", "gamma-o-hz", "gamma-e-hz", "gamma-o-hz-negative", "gamma-e-hz-text",
+         "range2-hz"],
 )
 def test_sweep_rejects_an_infinite_rate_by_name(capsys, rates, message):
     code, out, err = run(

@@ -140,6 +140,14 @@ def test_operating_point_validation():
     assert OperatingPoint(gamma_e=1.0, gamma_o=1.0).duty == 1.0
 
 
+@pytest.mark.parametrize("rates", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                                   (1.0, math.nan), (1.0, -1e-300)])
+def test_operating_point_names_a_bad_rate(rates):
+    name = "gamma_e" if not 0.0 <= rates[0] < math.inf else "gamma_o"
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        OperatingPoint(*rates)
+
+
 def test_environment_validation():
     with pytest.raises(ValueError):
         NoiseEnvironment(n_th_gamma_m=-1.0)

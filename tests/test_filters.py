@@ -288,19 +288,21 @@ def test_notch_runs_match_the_full_grid_formula(notch):
 
 
 def _textbook_response(spec, span, n):
-    """Sorted times and energies of the two-FFT formulation, written out:
-    natural-order spectrum, full-grid notch factors, ifftshift, argsort."""
+    """Sorted times and energies of the one-FFT formulation, written out:
+    natural-order spectrum, the norm by Parseval's theorem, full-grid notch
+    factors, ifftshift, argsort."""
     df = span / n
     f = (np.arange(n) - n // 2) * df
     h = 1.0 / (1.0 + 1j * f / (spec.linewidth_hz / 2.0))
-    notched = h.copy()
+    phase = np.exp(1j * np.pi * f / span)
+    spectrum = h * phase  # named: numpy may multiply into a temporary, which can round otherwise
+    dft_order = np.fft.ifftshift(spectrum)
+    norm = np.vdot(dft_order, dft_order).real / n
     for low, high in spec.notches:
         lo, hi = low - spec.center_hz, high - spec.center_hz
         covered = np.clip((np.minimum(f + 0.5 * df, hi) - np.maximum(f - 0.5 * df, lo)) / df, 0, 1)
-        notched *= np.sqrt(1.0 - covered)
-    phase = np.exp(1j * np.pi * f / span)
-    reference = np.abs(np.fft.ifft(np.fft.ifftshift(h * phase))) ** 2
-    energy = np.abs(np.fft.ifft(np.fft.ifftshift(notched * phase))) ** 2 / float(reference.sum())
+        spectrum *= np.sqrt(1.0 - covered)
+    energy = np.abs(np.fft.ifft(np.fft.ifftshift(spectrum))) ** 2 / norm
     k = np.arange(n)
     times = (np.where(k < n // 2, k, k - n) + 0.5) * (1.0 / span)
     order = np.argsort(times, kind="stable")
@@ -335,6 +337,91 @@ def test_wrap_around_check_rejects_an_undecayed_response():
     # 2000 linewidths still fit the same window: the check passes
     response = impulse_response(spec, span_hz=2000 * LINEWIDTH, n_points=2**14)
     assert float(response.energy.sum()) == pytest.approx(1.0)
+
+
+def _fft_reference(spec, span, n):
+    """Ascending times and un-notched energies |ifft(h * phase)|^2 of an
+    inverse DFT, the computation the norm and the wrap-around check once
+    took: the norm was the energies' sum, the residue their share at
+    |t| > 0.49 n / span."""
+    f = (np.arange(n) - n // 2) * (span / n)
+    h = 1.0 / (1.0 + 1j * f / (spec.linewidth_hz / 2.0))
+    phase = np.exp(1j * np.pi * f / span)
+    energy = np.abs(np.fft.ifft(np.fft.ifftshift(h * phase))) ** 2
+    return (np.arange(n) - n // 2 + 0.5) / span, np.fft.fftshift(energy)
+
+
+@pytest.mark.parametrize("n_points", [2**14, 2**16, 2**18, 2**20])
+def test_parseval_norm_matches_the_fft_reference(n_points):
+    # times the reference's sum, the un-notched energies are the reference's
+    # own, off by the ratio of the two norms, which shows at the peak
+    spec = FilterSpec(linewidth_hz=LINEWIDTH)
+    _, reference = _fft_reference(spec, 300.0 * LINEWIDTH, n_points)
+    response = impulse_response(spec, n_points=n_points)
+    scaled = response.energy * float(reference.sum())
+    assert np.max(np.abs(scaled - reference)) <= 1e-13 * reference.max()
+
+
+def test_wrap_around_residue_decides_as_the_fft_reference():
+    spec = FilterSpec(linewidth_hz=LINEWIDTH)
+    decisions = []
+    for n in (2**14, 2**16, 2**18):
+        for span in np.geomspace(50, 2e5, 60) * LINEWIDTH:
+            times, reference = _fft_reference(spec, span, n)
+            measured = float(reference[np.abs(times) > 0.49 * n / span].sum() / reference.sum())
+            a_t = spec.gamma_t * n / span
+            closed = (math.exp(-0.49 * a_t) - math.exp(-0.51 * a_t)) / -math.expm1(-a_t)
+            if measured >= 1e-9:
+                assert closed == pytest.approx(measured, rel=1e-2), (n, span)
+            try:
+                impulse_response(spec, span_hz=span, n_points=n)
+                rejected = False
+            except ValueError as error:
+                assert "response has not decayed within the DFT window" in str(error)
+                rejected = True
+            assert rejected == (measured > 1e-6), (n, span, measured, closed)
+            decisions.append(rejected)
+    assert len(decisions) == 180
+    assert 0 < sum(decisions) < 180
+
+
+def test_impulse_response_runs_one_inverse_fft(monkeypatch):
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    impulse_response(FilterSpec(linewidth_hz=LINEWIDTH), n_points=2**16)
+    impulse_response(scaled_preset_spec(1.0), n_points=2**18)
+    assert calls == [2**16, 2**18]
+
+
+UNDER_SAMPLED = FilterSpec(linewidth_hz=LINEWIDTH, notches=((100.0, 150.0),))
+
+
+@pytest.mark.parametrize(
+    "spec, span_hz, n_points, message",
+    [
+        (FilterSpec(linewidth_hz=LINEWIDTH), 1e5 * LINEWIDTH, 2**14, "has not decayed"),
+        (FilterSpec(linewidth_hz=LINEWIDTH), 1e7 * LINEWIDTH, 2**20, "has not decayed"),
+        (UNDER_SAMPLED, None, 2**20, "fewer than 16 grid points"),
+        # a spec failing both checks gets the notch error
+        (UNDER_SAMPLED, 1e7 * LINEWIDTH, 2**20, "fewer than 16 grid points"),
+    ],
+    ids=["undecayed-2^14", "undecayed-2^20", "under-sampled", "both"],
+)
+def test_a_rejected_spec_allocates_no_grid(spec, span_hz, n_points, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            impulse_response(spec, span_hz=span_hz, n_points=n_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_report_of_a_response_matches_analyze_filter():
