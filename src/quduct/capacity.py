@@ -218,11 +218,27 @@ def cap_integrated_quadrature(spec: ChannelSpec) -> float:
 
 @dataclass(frozen=True)
 class ContourLine:
-    """One iso-capacity polyline in the (throughput, n_add) plane."""
+    """One iso-capacity polyline in the (throughput, n_add) plane.
+
+    ``n_grid`` is the n_add grid that every line of one
+    :func:`capacity_contours` call shares, as one object; ``theta`` is the
+    line's throughput at each grid point and ``keep`` marks the points
+    inside the throughput range.  ``throughput_hz`` and ``n_add`` are the
+    kept points.
+    """
 
     level: float  # qubits/s
-    throughput_hz: np.ndarray
-    n_add: np.ndarray
+    theta: np.ndarray  # Hz
+    n_grid: np.ndarray
+    keep: np.ndarray
+
+    @property
+    def throughput_hz(self) -> np.ndarray:
+        return self.theta[self.keep]
+
+    @property
+    def n_add(self) -> np.ndarray:
+        return self.n_grid[self.keep]
 
 
 def capacity_contours(
@@ -236,13 +252,17 @@ def capacity_contours(
     The small-efficiency form is invertible: along a contour of level C,
     throughput(N) = C * ln 2 / (pi * (1 - N + N ln N)), so each polyline
     is computed exactly rather than traced on a grid.  Points falling
-    outside ``throughput_range_hz`` are clipped away; a level too high
-    for the range yields an empty polyline.
+    outside ``throughput_range_hz``, whose bounds must be finite, are
+    clipped away; a level too high for the range yields an empty polyline.
+    Every line holds the same ``n_grid`` object and its own ``keep`` mask,
+    which need not be contiguous.
     """
     t_lo, t_hi = throughput_range_hz
     n_lo, n_hi = n_add_range
     if not 0 < t_lo < t_hi:
         raise ValueError("throughput range must be positive and increasing")
+    if not t_hi < math.inf:
+        raise ValueError("throughput range must be finite")
     if not (0.0 < n_lo < n_hi < 1.0):
         raise ValueError("n_add range must lie inside (0, 1)")
     if n_samples < 2:
@@ -253,7 +273,9 @@ def capacity_contours(
     for level in levels:
         if not 0 < level < math.inf:
             raise ValueError(f"contour levels must be positive and finite, got {level}")
-        theta = level / (math.pi * slope)
-        keep = (theta >= t_lo) & (theta <= t_hi)
-        lines.append(ContourLine(level, theta[keep], n_grid[keep]))
+        # a throughput past the largest float is past the finite range too,
+        # so its overflow to inf only clips it
+        with np.errstate(over="ignore", divide="ignore"):
+            theta = level / (math.pi * slope)
+        lines.append(ContourLine(level, theta, n_grid, (theta >= t_lo) & (theta <= t_hi)))
     return lines

@@ -13,7 +13,11 @@ import importlib.resources
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import chain, compress, pairwise
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .capacity import capacity_contours
 
@@ -138,9 +142,34 @@ def csv_text(header, rows) -> str:
 _CHUNK_ROWS = 4096
 
 
+class MaskedBlock(NamedTuple):
+    """A :func:`float_table` block that writes only the rows where ``keep`` is true."""
+
+    entries: list
+    keep: np.ndarray
+
+
 def _format_all(values) -> list:
-    """:func:`format_float` of every value of an array or a sequence."""
-    return list(map(format_float, values.tolist() if hasattr(values, "tolist") else values))
+    """The shortest round-trip text of every value of an array or a sequence.
+
+    Every float of a table is formatted here: an array in one ``repr`` pass
+    over its float64 values, which is :func:`format_float` of each, and a
+    sequence through :func:`format_float`.
+    """
+    if isinstance(values, np.ndarray):
+        return list(map(repr, np.asarray(values, np.float64).tolist()))
+    return list(map(format_float, values))
+
+
+def _is_sequence(entry) -> bool:
+    return not isinstance(entry, str) and hasattr(entry, "__len__")
+
+
+def _unpack(block) -> tuple:
+    """(entries, row mask or None) of a :func:`float_table` block."""
+    if isinstance(block, MaskedBlock):
+        return list(block.entries), np.asarray(block.keep)
+    return list(block), None
 
 
 def float_table(header, blocks):
@@ -153,38 +182,57 @@ def float_table(header, blocks):
       a grid axis, which is formatted once for all of them;
     * a fresh array (or list) of the block's row values.
 
-    Floats go through :func:`format_float`, so the text is what
-    :func:`csv_text` writes for the same rows: no float field ever needs
-    quoting, and a str entry must not need it either.  A block without a
-    sequence is one row.  A block of more than ``_CHUNK_ROWS`` rows is
-    formatted that many rows at a time, and none of its sequences is kept
-    for the next block.  Formatting is all the generator does; check and
-    compute every value before the first chunk is written.
+    A :class:`MaskedBlock` writes only the rows its boolean ``keep`` marks,
+    and formats only those of its fresh entries.  Floats go through
+    :func:`_format_all`, so the text is what :func:`csv_text` writes for
+    the same rows: no float field ever needs quoting, and a str entry must
+    not need it either.  A block without a sequence is one row.  A block is
+    formatted ``_CHUNK_ROWS`` rows at a time; a sequence that recurs is
+    kept for the next block as one joined string per chunk.  Blocks are
+    read one ahead, to see which sequences recur, so a block's arrays must
+    not change once the block is given.  Formatting is all the generator
+    does; check and compute every value before the first chunk is written.
     """
     yield ",".join(header) + "\r\n"
-    last = {}  # column -> (sequence, its fields) in the block before
-    for block in blocks:
-        block = [entry if isinstance(entry, str) or hasattr(entry, "__len__")
-                 else format_float(entry) for entry in block]
-        lengths = {len(entry) for entry in block if not isinstance(entry, str)}
+    shared = {}  # column -> fields joined per chunk, of a sequence repeated from the block before
+    end = [((), None)]  # read one block ahead, past the last one too
+    for (entries, keep), (upcoming, _) in pairwise(chain(map(_unpack, blocks), end)):
+        recurring = {index for index, (entry, following) in enumerate(zip(entries, upcoming))
+                     if entry is following and _is_sequence(entry)}
+        joined = {index: shared.get(index, []) for index in recurring | shared.keys()}
+        entries = [entry if hasattr(entry, "__len__") else _format_all([entry])[0]
+                   for entry in entries]
+        lengths = {len(entry) for entry in entries if _is_sequence(entry)}
         if len(lengths) > 1:
             raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
         n_rows = lengths.pop() if lengths else 1
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            size = min(n_rows - start, _CHUNK_ROWS)
+        if keep is not None and (keep.dtype != bool or keep.shape != (n_rows,)):
+            raise ValueError(f"a block's keep must be {n_rows} booleans, "
+                             f"got {keep.dtype} of shape {keep.shape}")
+        for number, start in enumerate(range(0, n_rows, _CHUNK_ROWS)):
+            stop = start + _CHUNK_ROWS
+            kept = None if keep is None else keep[start:stop]
+            flags = None if kept is None else kept.tolist()
+            size = min(stop, n_rows) - start if kept is None else flags.count(True)
             columns = []
-            for index, entry in enumerate(block):
+            for index, entry in enumerate(entries):
                 if isinstance(entry, str):
-                    fields = [entry] * size
-                elif n_rows > _CHUNK_ROWS:
-                    fields = _format_all(entry[start:start + size])
+                    columns.append([entry] * size)
+                elif index in joined:
+                    chunks = joined[index]
+                    if number == len(chunks):
+                        chunks.append(",".join(_format_all(entry[start:stop])))
+                    fields = chunks[number].split(",")
+                    columns.append(fields if kept is None else compress(fields, flags))
                 else:
-                    seen, fields = last.get(index, (None, None))
-                    if entry is not seen:
-                        fields = _format_all(entry)
-                        last[index] = entry, fields
-                columns.append(fields)
-            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+                    part = entry[start:stop]
+                    if kept is not None:
+                        part = (part[kept] if isinstance(part, np.ndarray)
+                                else list(compress(part, flags)))
+                    columns.append(_format_all(part))
+            if size:
+                yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+        shared = {index: joined[index] for index in recurring}
 
 
 def scatter_csv(records, direction: str | None = None) -> str:
@@ -200,8 +248,9 @@ def contour_table(levels, throughput_range_hz, n_add_range=(1e-3, 0.999), n_samp
     The contours are computed, and their inputs checked, before this returns.
     """
     lines = capacity_contours(levels, throughput_range_hz, n_add_range, n_samples)
-    return float_table(CONTOUR_HEADER,
-                       ([line.level, line.throughput_hz, line.n_add] for line in lines))
+    # every line shares one n_add grid, which is formatted once for all of them
+    return float_table(CONTOUR_HEADER, (MaskedBlock([line.level, line.theta, line.n_grid],
+                                                    line.keep) for line in lines))
 
 
 def contour_csv(levels, throughput_range_hz, n_add_range=(1e-3, 0.999), n_samples=512) -> str:

@@ -7,6 +7,7 @@ from quduct.capacity import (
     LN2,
     ChannelSpec,
     _capacity_bound,
+    _small_eta_slope,
     cap_integrated_closed,
     cap_integrated_high_eta_limit,
     cap_integrated_quadrature,
@@ -214,6 +215,42 @@ def test_contour_zero_noise_crossing():
 def test_contour_empty_above_range():
     lines = capacity_contours([1e12], (1e-2, 1e2), (1e-3, 0.999))
     assert lines[0].throughput_hz.size == 0
+
+
+def test_contour_lines_share_one_grid_and_keep_a_mask():
+    lines = capacity_contours([30.0, 1e12, 100.0], (60.0, 1e4), (1e-3, 0.999), n_samples=64)
+    grid = lines[0].n_grid
+    assert all(line.n_grid is grid for line in lines)
+    for line in lines:
+        expected = line.level / (math.pi * _small_eta_slope(grid))
+        assert np.array_equal(line.theta, expected)
+        assert np.array_equal(line.keep, (expected >= 60.0) & (expected <= 1e4))
+        assert np.array_equal(line.throughput_hz, expected[line.keep])
+        assert np.array_equal(line.n_add, grid[line.keep])
+    assert lines[1].throughput_hz.size == 0 < lines[2].throughput_hz.size
+
+
+def test_contours_reject_an_infinite_throughput_bound():
+    with pytest.raises(ValueError, match="^throughput range must be finite$"):
+        capacity_contours([1e308], (1.0, math.inf), n_samples=5)
+
+
+@pytest.mark.parametrize("throughput_range_hz", [(1.0, 1e5), (1e307, 1.7976931348623157e308)])
+def test_an_overflowing_contour_point_is_clipped_without_a_warning(throughput_range_hz):
+    # 1e308 / (pi * slope) passes the largest float where the slope is small;
+    # the suite turns the RuntimeWarning numpy would give into a failure
+    (line,) = capacity_contours([1e308], throughput_range_hz, n_samples=512)
+    assert np.isinf(line.theta).any()
+    assert np.isfinite(line.throughput_hz).all()
+    t_lo, t_hi = throughput_range_hz
+    assert ((line.throughput_hz >= t_lo) & (line.throughput_hz <= t_hi)).all()
+    if t_lo > 1.0:
+        # the rows inside the range are the quotient itself
+        assert line.throughput_hz.size > 0
+        slope = _small_eta_slope(line.n_add)
+        assert np.array_equal(line.throughput_hz, 1e308 / (math.pi * slope))
+    else:
+        assert line.throughput_hz.size == 0
 
 
 def test_small_eta_rows_match_scalar_form():

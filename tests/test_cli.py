@@ -234,14 +234,26 @@ def test_contours_csv(capsys):
          "throughput range must be positive and increasing"),
         (("--levels", "10", "--throughput-range-hz", "1:nan"),
          "throughput range must be positive and increasing"),
+        (("--levels", "1e308", "--throughput-range-hz", "1:inf"),
+         "throughput range must be finite"),
     ],
-    ids=["nan-level", "inf-level", "nan-low", "nan-high"],
+    ids=["nan-level", "inf-level", "nan-low", "nan-high", "inf-high"],
 )
 def test_contours_reject_nan_and_infinite_input(capsys, argv, message):
     code, out, err = run(capsys, "contours", "--n", "5", *argv)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_a_contour_level_past_the_range_prints_no_warning(tmp_path, capsys):
+    code, out, err = run(capsys, "contours", "--levels", "1e308",
+                         "--throughput-range-hz", "1:1e5")
+    assert (code, out, err) == (0, "level,x_throughput_hz,y_n_add\r\n", "")
+    code, out, err = run(capsys, "compare", "--direction", "up", "--levels", "1e308",
+                         "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "contours_up.csv").read_text() == "level,x_throughput_hz,y_n_add\n"
 
 
 def test_compare_writes_no_contour_file_for_a_nan_range(tmp_path, capsys):

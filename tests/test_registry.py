@@ -1,16 +1,23 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quduct import registry
-from quduct.capacity import cap_small_eta
+from quduct.capacity import cap_small_eta, capacity_contours
 from quduct.registry import (
+    CONTOUR_HEADER,
     DeviceRecord,
+    MaskedBlock,
     RegistryError,
     bundled_registry_path,
     contour_csv,
+    contour_table,
     emit_comparison,
     float_table,
     format_float,
@@ -151,12 +158,14 @@ def _rows(blocks):
     """The rows a list of float_table blocks stands for, one value per field."""
     rows = []
     for block in blocks:
+        block, keep = block if isinstance(block, MaskedBlock) else (block, None)
         lengths = {len(entry) for entry in block
                    if not isinstance(entry, str) and hasattr(entry, "__len__")}
         n_rows = lengths.pop() if lengths else 1
         for i in range(n_rows):
-            rows.append([entry[i] if not isinstance(entry, str) and hasattr(entry, "__len__")
-                         else entry for entry in block])
+            if keep is None or keep[i]:
+                rows.append([entry[i] if not isinstance(entry, str) and hasattr(entry, "__len__")
+                             else entry for entry in block])
     return rows
 
 
@@ -197,9 +206,22 @@ def test_float_table_long_block_in_chunks(monkeypatch):
     assert "".join(chunks) == _writer_text(["a", "b", "c"], _rows(blocks))
 
 
+def _count_formats(monkeypatch) -> list:
+    """The values formatted from now on, counted through ``_format_all``."""
+    formatted = []
+    format_all = registry._format_all
+
+    def counting(values):
+        fields = format_all(values)
+        formatted.extend(fields)
+        return fields
+
+    monkeypatch.setattr(registry, "_format_all", counting)
+    return formatted
+
+
 def test_float_table_formats_a_recurring_axis_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(registry, "format_float", lambda x: calls.append(x) or repr(float(x)))
+    calls = _count_formats(monkeypatch)
     axis, rows = AXIS[:4], np.arange(12.0).reshape(3, 4)
     text = "".join(float_table(["eta", "n_add", "c"],
                                ([eta, axis, row] for eta, row in zip((0.1, 0.2, 0.3), rows))))
@@ -211,3 +233,122 @@ def test_float_table_formats_a_recurring_axis_once(monkeypatch):
 def test_float_table_rejects_columns_of_different_length():
     with pytest.raises(ValueError, match="differ in length"):
         list(float_table(["a", "b"], [[np.zeros(2), np.zeros(3)]]))
+
+
+def test_float_table_rejects_a_mask_of_the_wrong_length_or_kind():
+    with pytest.raises(ValueError, match="keep must be 3 booleans"):
+        list(float_table(["a"], [MaskedBlock([np.zeros(3)], np.ones(2, bool))]))
+    with pytest.raises(ValueError, match="keep must be 3 booleans"):
+        list(float_table(["a"], [MaskedBlock([np.zeros(3)], np.array([0, 2, 1]))]))
+
+
+def _contour_reference(levels, throughput_range_hz, n_add_range, n_samples) -> str:
+    """The contour table as it was first written: each level's kept points as fresh arrays."""
+    lines = capacity_contours(levels, throughput_range_hz, n_add_range, n_samples)
+    return "".join(float_table(CONTOUR_HEADER, ([line.level, line.theta[line.keep],
+                                                 line.n_grid[line.keep]] for line in lines)))
+
+
+# the tradeoff-tables workload's contours at seed 1
+WORKLOAD_CONTOURS = ([35.7247, 1538.9, 3158.09], (1e-4, 1e12), (1e-3, 0.999), 100_000)
+
+
+def test_contour_table_matches_the_fresh_array_reference_on_the_workload():
+    text = "".join(contour_table(*WORKLOAD_CONTOURS))
+    assert text == _contour_reference(*WORKLOAD_CONTOURS)
+    assert text.count("\r\n") == 1 + 3 * 100_000
+
+
+@pytest.mark.parametrize("n_samples", [5, 8, 16, 37])
+@pytest.mark.parametrize(
+    "levels",
+    [[100.0], [100.0, 1e12], [1e12, 100.0, 300.0], [30.0, 100.0, 30.0]],
+    ids=["clipped-both-ends", "then-empty", "empty-first", "repeated-level"],
+)
+def test_contour_table_matches_the_fresh_array_reference_in_small_chunks(
+        monkeypatch, levels, n_samples):
+    monkeypatch.setattr(registry, "_CHUNK_ROWS", 8)
+    args = (levels, (60.0, 1e4), (1e-3, 0.999), n_samples)
+    lines = capacity_contours(*args)
+    # 100 qubits/s leaves the range at both ends of the n_add grid; 1e12 never enters it
+    clipped = lines[levels.index(100.0)].keep
+    assert not clipped[0] and not clipped[-1] and clipped.any()
+    assert all(not line.keep.any() for line in lines if line.level == 1e12)
+    assert "".join(contour_table(*args)) == _contour_reference(*args)
+
+
+def test_float_table_writes_a_non_contiguous_mask(monkeypatch):
+    monkeypatch.setattr(registry, "_CHUNK_ROWS", 4)
+    x, y = np.linspace(0.5, 9.5, 11), np.geomspace(1.0, 1e3, 11)
+    keep = np.array([1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1], bool)
+    blocks = [MaskedBlock([2.0, x, y], keep), MaskedBlock([3.0, -x, y], ~keep)]
+    text = "".join(float_table(CONTOUR_HEADER, blocks))
+    assert text == "".join(float_table(CONTOUR_HEADER, [[2.0, x[keep], y[keep]],
+                                                        [3.0, -x[~keep], y[~keep]]]))
+    assert text == _writer_text(CONTOUR_HEADER, _rows(blocks))
+    assert text.count("\r\n") == 1 + 11
+
+
+def test_contour_table_formats_the_shared_grid_once(monkeypatch):
+    args = ([100.0, 1e12, 300.0], (60.0, 1e4), (1e-3, 0.999), 64)
+    kept = sum(int(line.keep.sum()) for line in capacity_contours(*args))
+    calls = _count_formats(monkeypatch)
+    text = "".join(contour_table(*args))
+    assert text.count("\r\n") == 1 + kept
+    # the grid once, each kept throughput and each level; the fresh-array
+    # formulation formats 2 * kept + 3
+    assert len(calls) == 64 + kept + 3 < 2 * kept + 3
+
+
+def test_streaming_contour_table_peaks_below_the_fresh_array_formulation():
+    tracemalloc.start()
+    try:
+        rows = sum(chunk.count("\n") for chunk in contour_table(*WORKLOAD_CONTOURS))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + 3 * 100_000
+    # the masked-copy formulation peaked at 7,303,167 B here (Python 3.11, numpy 2.4)
+    assert peak <= 7_303_167
+
+
+# 1.8e308 reads as inf; the largest finite float is 1.7976931348623157e308
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1.8e308, -1.8e308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+
+
+@st.composite
+def _table_blocks(draw):
+    """Blocks of one row count: a constant, an axis or a fresh array, a fresh
+    float64, float32, int array or list, and sometimes a mask."""
+    n_rows = draw(st.integers(0, 11))
+    dtypes = st.sampled_from(["float64", "float32", "int64"])
+
+    def fresh():
+        dtype = draw(dtypes)
+        elements = {"float64": _FLOATS, "float32": st.floats(width=32),
+                    "int64": st.integers(-2**63, 2**63 - 1)}[dtype]
+        values = draw(hnp.arrays(dtype, n_rows, elements=elements))
+        return values.tolist() if draw(st.booleans()) and dtype == "float64" else values
+
+    axis = fresh()
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        entries = [draw(_FLOATS), axis if draw(st.booleans()) else fresh(), fresh()]
+        if draw(st.booleans()):
+            keep = draw(hnp.arrays(bool, n_rows))
+            blocks.append(MaskedBlock(entries, keep))
+        else:
+            blocks.append(entries)
+    return blocks
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(blocks=_table_blocks(), chunk_rows=st.integers(1, 5))
+def test_float_table_matches_csv_writer_on_drawn_tables(blocks, chunk_rows):
+    header = ["c0", "c1", "c2"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry, "_CHUNK_ROWS", chunk_rows)
+        text = "".join(float_table(header, blocks))
+    assert text == _writer_text(header, _rows(blocks))
