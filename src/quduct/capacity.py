@@ -31,22 +31,26 @@ LN2 = math.log(2.0)
 _TRUNCATION_FRACTION = 1e-8
 
 
-def _check_domain(eta=0.0, n_add=0.0) -> None:
-    """Fail naming the first eta outside [0, 1), then the first n_add below 0.
+def _check_domain(eta=0.0, n_add=0.0, throughput_hz=0.0) -> None:
+    """Fail naming the first eta outside [0, 1), then the first n_add below
+    0, then the first throughput_hz that is negative or not finite.
 
-    Takes floats or broadcastable arrays; nan fails for both.
+    Takes floats or broadcastable arrays; nan fails for all three.
     """
     eta = np.asarray(eta, dtype=np.float64)
     n_add = np.asarray(n_add, dtype=np.float64)
+    throughput_hz = np.asarray(throughput_hz, dtype=np.float64)
     for name, value, ok, domain in (
         ("eta", eta, (eta >= 0.0) & (eta < 1.0), "in [0, 1)"),
         ("n_add", n_add, n_add >= 0.0, "nonnegative"),
+        ("throughput_hz", throughput_hz, (throughput_hz >= 0.0) & (throughput_hz < math.inf),
+         "nonnegative and finite"),
     ):
         if not ok.all():
             raise ValueError(f"{name} must be {domain}, got {value[~ok].flat[0]}")
 
 
-def _capacity_bound(eta, n_add) -> np.ndarray:
+def _capacity_bound(eta, n_add):
     """Per-use capacity upper bound of a thermal-loss channel, elementwise.
 
     [eta * N * ln(N) - M * ln(M)] / ((1 - eta) ln 2) with
@@ -54,19 +58,34 @@ def _capacity_bound(eta, n_add) -> np.ndarray:
     eta <= 0, with the 0*log(0) = 0 convention and a floor at zero.
     ln(M) is evaluated as log1p(-eta(1-N)) so the bound stays accurate
     deep in the lineshape tails where M is within a few ulp of 1.
+
+    Every step writes into one of two arrays of the broadcast shape, the
+    result and one scratch array; the only other temporaries are the size
+    of one input (1 - N and ln N at n_add's shape, masks at each input's).
+    A scalar pair gives a float64 scalar.
     """
     eta = np.asarray(eta, dtype=np.float64)
     n_add = np.asarray(n_add, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = eta * (1.0 - n_add)
-        t1 = np.where(
-            n_add > 0.0, eta * n_add * np.log(np.where(n_add > 0.0, n_add, 1.0)), 0.0
-        )
-        t2 = (1.0 - x) * np.log1p(np.minimum(-x, 0.0))
-        value = (t1 - t2) / ((1.0 - eta) * LN2)
-    value = np.where((n_add >= 1.0) | (eta <= 0.0), 0.0, value)
-    value = np.where(eta >= 1.0, np.nan, value)
-    return np.maximum(value, 0.0)
+    value = np.empty(np.broadcast_shapes(eta.shape, n_add.shape))
+    # only an n_add >= 1 can overflow, and its value is set to zero below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.multiply(eta, 1.0 - n_add, out=value)
+        # t2 = (1 - x) * log1p(min(-x, 0)) in the scratch array
+        t2 = np.negative(x, out=np.empty_like(x))
+        np.minimum(t2, 0.0, out=t2)
+        np.log1p(t2, out=t2)
+        np.multiply(np.subtract(1.0, x, out=value), t2, out=t2)
+        # t1 = eta * N * ln(N) with ln(0) taken as 0, so that 0 * ln(0) = 0
+        t1 = np.multiply(eta, n_add, out=value)
+        np.multiply(t1, np.log(n_add, out=np.zeros_like(n_add), where=n_add > 0.0), out=t1)
+        np.subtract(t1, t2, out=value)
+        scale = np.multiply(np.subtract(1.0, eta, out=t2), LN2, out=t2)
+        np.divide(value, scale, out=value)
+    np.copyto(value, 0.0, where=n_add >= 1.0)
+    np.copyto(value, 0.0, where=eta <= 0.0)
+    np.copyto(value, np.nan, where=eta >= 1.0)
+    np.maximum(value, 0.0, out=value)
+    return value if value.ndim else value[()]
 
 
 @dataclass(frozen=True)
@@ -81,8 +100,10 @@ class ChannelSpec:
 
     def __post_init__(self):
         _check_domain(self.eta, self.n_add)
-        if not self.bandwidth_hz > 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError(
+                f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz}"
+            )
         if not 0.0 < self.duty <= 1.0:
             raise ValueError(f"duty must be in (0, 1], got {self.duty}")
 
@@ -107,17 +128,23 @@ def cap_ub_point(eta: float, n_add: float) -> float:
     return float(cap_ub_grid(eta, n_add))
 
 
-def _small_eta_slope(n_add) -> np.ndarray:
+def _small_eta_slope(n_add):
     """(1 - N + N ln N) / ln 2 elementwise, the per-Hz capacity slope as eta -> 0.
 
-    1 / ln 2 at N = 0; zero for N >= 1, where the channel has no quantum capacity.
+    1 / ln 2 at N = 0; zero for N >= 1, where the channel has no quantum
+    capacity.  n_add is not checked.  Evaluated in the output array and
+    one scratch array of n_add's shape; a scalar gives a float64 scalar.
     """
-    _check_domain(n_add=n_add)
     n_add = np.asarray(n_add, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) at N = 0
-        g = 1.0 - n_add + n_add * np.log(n_add)
-    g = np.where(n_add == 0.0, 1.0, np.maximum(g, 0.0))
-    return np.where(n_add >= 1.0, 0.0, g / LN2)
+        g = np.log(n_add, out=np.empty_like(n_add))
+        np.multiply(n_add, g, out=g)
+        np.add(1.0 - n_add, g, out=g)
+    np.maximum(g, 0.0, out=g)
+    np.copyto(g, 1.0, where=n_add == 0.0)
+    np.divide(g, LN2, out=g)
+    np.copyto(g, 0.0, where=n_add >= 1.0)
+    return g if g.ndim else g[()]
 
 
 def cap_integrated_closed(spec: ChannelSpec) -> float:
@@ -163,8 +190,9 @@ def cap_small_eta(n_add, throughput_hz):
 
     (pi * throughput / ln 2) * (1 - N + N ln N) over floats or
     broadcastable arrays; the N = 0 value is pi * throughput / ln 2, and
-    the rate is 0 for N >= 1.
+    the rate is 0 for N >= 1.  A negative or nonfinite throughput fails.
     """
+    _check_domain(n_add=n_add, throughput_hz=throughput_hz)
     return math.pi * throughput_hz * _small_eta_slope(n_add)
 
 
@@ -197,7 +225,7 @@ def cap_integrated_quadrature(spec: ChannelSpec) -> float:
         theta = (mid[:, None] + half * nodes[None, :]).ravel()
         w = np.broadcast_to(half * weights[None, :], (n_panels, nodes.size)).ravel()
         cos2 = np.cos(theta) ** 2
-        integrand = _capacity_bound(eta * cos2, np.full_like(theta, n_add)) / cos2
+        integrand = _capacity_bound(eta * cos2, n_add) / cos2
         return float(np.sum(w * integrand))
 
     panels = 8  # 256 nodes to start

@@ -1,11 +1,25 @@
 """Fixtures shared by the test modules."""
 
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import quduct
+
+
+def pytest_configure(config):
+    """Point hypothesis's storage, which it fills even with ``database=None``,
+    at a temporary directory instead of ``.hypothesis/`` in the working one."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:  # the tests that use hypothesis fail on their own import
+        return
+    home = tempfile.mkdtemp(prefix="quduct-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

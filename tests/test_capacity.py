@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ def test_small_eta_values():
     assert cap_small_eta(0.0, 1.0) == pytest.approx(math.pi / LN2, rel=1e-14)
     theta = 8800.0
     assert cap_small_eta(0.0, theta) == pytest.approx(4.532 * theta, rel=1e-3)
+    # eta = 0 gives throughput 0, a valid channel that carries nothing
+    assert cap_small_eta(np.array([0.0, 0.5, 1.5]), 0.0).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_small_eta_limit_of_closed_form():
@@ -302,6 +305,14 @@ def test_bad_n_add_is_rejected_by_name(call, n_add):
         (lambda: cap_small_eta(np.array([0.1, math.nan]), 1.0), "n_add must be nonnegative, got nan"),
         (lambda: ChannelSpec(1.0, -1.0, 1.0), "eta must be in [0, 1), got 1.0"),
         (lambda: ChannelSpec(0.5, -1.0, 1.0), "n_add must be nonnegative, got -1.0"),
+        (lambda: ChannelSpec(0.5, 0.1, math.inf), "bandwidth_hz must be positive and finite, got inf"),
+        (lambda: ChannelSpec(0.5, 0.1, 0.0), "bandwidth_hz must be positive and finite, got 0.0"),
+        (lambda: ChannelSpec(0.5, 0.1, math.nan), "bandwidth_hz must be positive and finite, got nan"),
+        (lambda: cap_small_eta(0.5, -1.0), "throughput_hz must be nonnegative and finite, got -1.0"),
+        (lambda: cap_small_eta(0.5, math.nan), "throughput_hz must be nonnegative and finite, got nan"),
+        (lambda: cap_small_eta([0.1, 0.5], [[1.0], [math.inf]]),
+         "throughput_hz must be nonnegative and finite, got inf"),
+        (lambda: cap_small_eta(-1.0, -1.0), "n_add must be nonnegative, got -1.0"),
     ],
 )
 def test_domain_check_names_the_first_bad_value(call, message):
@@ -321,3 +332,87 @@ def test_closed_unit_conversion_anchor():
         math.pi * eta / LN2, rel=1e-6
     )
     assert TWO_PI == pytest.approx(2 * math.pi)
+
+
+def _capacity_bound_reference(eta, n_add):
+    """The bound as one fresh array per step, the formulation the in-place
+    kernel must reproduce bit for bit.  Overflow, which a huge n_add gives
+    before it is masked to zero, is silenced as in the kernel."""
+    eta = np.asarray(eta, dtype=np.float64)
+    n_add = np.asarray(n_add, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = eta * (1.0 - n_add)
+        t1 = np.where(
+            n_add > 0.0, eta * n_add * np.log(np.where(n_add > 0.0, n_add, 1.0)), 0.0
+        )
+        t2 = (1.0 - x) * np.log1p(np.minimum(-x, 0.0))
+        value = (t1 - t2) / ((1.0 - eta) * LN2)
+    value = np.where((n_add >= 1.0) | (eta <= 0.0), 0.0, value)
+    value = np.where(eta >= 1.0, np.nan, value)
+    return np.maximum(value, 0.0)
+
+
+def _small_eta_slope_reference(n_add):
+    n_add = np.asarray(n_add, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 - n_add + n_add * np.log(n_add)
+    g = np.where(n_add == 0.0, 1.0, np.maximum(g, 0.0))
+    return np.where(n_add >= 1.0, 0.0, g / LN2)
+
+
+def _assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+# -0.0 passes the domain check
+EDGE_ETA = [-0.0, 0.0, 5e-324, 1e-300, 1e-8, 0.5, 0.9, 1.0 - 2.0**-53]
+EDGE_N = [-0.0, 0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.5, 1e300]
+
+
+def test_capacity_kernel_matches_the_reference_bit_for_bit():
+    grid_eta = np.linspace(0.0, 1.0 - 2.0**-53, 300)[:, None]
+    grid_n = np.linspace(0.0, 1.5, 300)
+    _assert_same_bits(_capacity_bound(grid_eta, grid_n), _capacity_bound_reference(grid_eta, grid_n))
+    rng = np.random.default_rng(19)
+    eta = rng.uniform(0.0, 1.0, 10**6)
+    n_add = rng.uniform(0.0, 1.5, 10**6)
+    _assert_same_bits(_capacity_bound(eta, n_add), _capacity_bound_reference(eta, n_add))
+    edge_eta, edge_n = np.meshgrid(EDGE_ETA, EDGE_N)
+    _assert_same_bits(_capacity_bound(edge_eta, edge_n), _capacity_bound_reference(edge_eta, edge_n))
+
+
+def test_small_eta_slope_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for n_add in (np.linspace(0.0, 1.5, 300), rng.uniform(0.0, 1.5, 10**6), np.array(EDGE_N)):
+        _assert_same_bits(_small_eta_slope(n_add), _small_eta_slope_reference(n_add))
+
+
+def test_kernels_give_a_float64_scalar_for_scalars():
+    for n_add in EDGE_N:
+        for eta in EDGE_ETA:
+            value = _capacity_bound(eta, n_add)
+            assert type(value) is np.float64
+            _assert_same_bits(value, _capacity_bound_reference(eta, n_add))
+            assert type(cap_ub_grid(eta, n_add)) is np.float64
+        slope = _small_eta_slope(n_add)
+        assert type(slope) is np.float64
+        _assert_same_bits(slope, _small_eta_slope_reference(n_add))
+        assert type(cap_small_eta(n_add, 1e3)) is np.float64
+
+
+def test_capacity_grid_holds_at_most_two_grid_arrays():
+    # a 1000x1000 float64 grid is 8 MB; the fresh-array formulation peaks
+    # at five of them (41 MB)
+    eta = np.linspace(0.0, 0.999, 1000)[:, None]
+    n_add = np.linspace(0.0, 1.2, 1000)
+    tracemalloc.start()
+    try:
+        values = cap_ub_grid(eta, n_add)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (1000, 1000)
+    assert peak < 2.5 * values.nbytes

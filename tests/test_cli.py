@@ -331,6 +331,15 @@ def test_zero_duty_is_rejected(capsys, argv):
     assert "duty" in err
 
 
+@pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
+def test_capacity_rejects_a_bandwidth_that_is_not_positive_and_finite(capsys, bandwidth):
+    code, out, err = run(capsys, "capacity", "--eta", "0.5", "--n-add", "0.1",
+                         "--bandwidth-hz", bandwidth)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bandwidth_hz must be positive and finite, got {float(bandwidth)}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
