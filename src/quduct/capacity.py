@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI
+from .core import TWO_PI, throughput
 
 LN2 = math.log(2.0)
 
@@ -100,16 +100,11 @@ class ChannelSpec:
 
     def __post_init__(self):
         _check_domain(self.eta, self.n_add)
-        if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ValueError(
-                f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz}"
-            )
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError(f"duty must be in (0, 1], got {self.duty}")
+        throughput(self.eta, self.bandwidth_hz, self.duty)  # checks bandwidth_hz and duty
 
     @property
     def throughput_hz(self) -> float:
-        return self.eta * self.bandwidth_hz * self.duty
+        return throughput(self.eta, self.bandwidth_hz, self.duty)
 
 
 def cap_ub_grid(eta, n_add) -> np.ndarray:

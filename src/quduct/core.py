@@ -130,8 +130,7 @@ class OperatingPoint:
         for name, rate in (("gamma_e", self.gamma_e), ("gamma_o", self.gamma_o)):
             if not 0.0 <= rate < math.inf:  # written so that nan fails
                 raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError(f"duty cycle must be in (0, 1], got {self.duty}")
+        check_duty(self.duty)
 
 
 @dataclass(frozen=True)
@@ -228,36 +227,48 @@ def validate_device(params: DeviceParams) -> ValidationReport:
     return report
 
 
-def total_damping(params: DeviceParams, op: OperatingPoint) -> AngularRate:
-    """Total mechanical damping: both pump-enhanced rates plus intrinsic loss."""
-    return op.gamma_e + op.gamma_o + params.gamma_m
-
-
-def bandwidth_hz(params: DeviceParams, op: OperatingPoint) -> float:
-    """Transduction bandwidth in Hz, total damping over 2pi."""
-    return rate_to_hz(total_damping(params, op))
-
-
-def throughput(eta: float, bandwidth_hz: float, duty: float = 1.0) -> float:
-    """Efficiency-bandwidth-duty-cycle product, in Hz."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
+def check_duty(duty: float) -> None:
+    """Reject a duty cycle outside (0, 1]; nan fails."""
     if not 0.0 < duty <= 1.0:
         raise ValueError(f"duty cycle must be in (0, 1], got {duty}")
+
+
+def transduction(params: DeviceParams, gamma_e, gamma_o) -> tuple:
+    """(Gamma_T, apparent efficiency, bandwidth in Hz) at rates that are floats or equal-shape
+    arrays; every total damping Gamma_T = gamma_e + gamma_o + gamma_m must be positive."""
+    gamma_t = gamma_e + gamma_o + params.gamma_m
+    if not (gamma_t.min() if hasattr(gamma_t, "min") else gamma_t) > 0.0:
+        raise ValueError("total damping must be positive")
+    matching = 4.0 * (gamma_e / gamma_t) * (gamma_o / gamma_t)  # finite at any rate
+    return gamma_t, params.gain_total * params.eta_m * matching, rate_to_hz(gamma_t)
+
+
+def eta_bandwidth_duty(eta, bandwidth_hz, duty):
     return eta * bandwidth_hz * duty
 
 
-def apparent_efficiency(params: DeviceParams, op: OperatingPoint) -> float:
-    """Apparent (gain-inclusive) transduction efficiency at resonance.
+def total_damping(params: DeviceParams, op: OperatingPoint) -> AngularRate:
+    """Total mechanical damping at ``op``, of :func:`transduction`."""
+    return transduction(params, op.gamma_e, op.gamma_o)[0]
 
-    Product of the composite sideband gain, the maximum achievable
-    efficiency, and the impedance-matching factor
-    4 * gamma_e * gamma_o / Gamma_T^2.
-    """
-    gamma_t = total_damping(params, op)
-    if gamma_t <= 0:
-        raise ValueError("total damping must be positive")
-    matching = 4.0 * op.gamma_e * op.gamma_o / (gamma_t * gamma_t)
-    return params.gain_total * params.eta_m * matching
+
+def bandwidth_hz(params: DeviceParams, op: OperatingPoint) -> float:
+    """Transduction bandwidth in Hz at ``op``, of :func:`transduction`."""
+    return transduction(params, op.gamma_e, op.gamma_o)[2]
+
+
+def throughput(eta: float, bandwidth_hz: float, duty: float = 1.0) -> float:
+    """Efficiency-bandwidth-duty-cycle product, in Hz; the one check of ``bandwidth_hz``."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if not 0.0 < bandwidth_hz < math.inf:  # written so that nan fails
+        raise ValueError(f"bandwidth_hz must be positive and finite, got {bandwidth_hz}")
+    check_duty(duty)
+    return eta_bandwidth_duty(eta, bandwidth_hz, duty)
+
+
+def apparent_efficiency(params: DeviceParams, op: OperatingPoint) -> float:
+    """Apparent efficiency at ``op``, of :func:`transduction`.  It includes the sideband gain,
+    so it may exceed 1; only ``compare``'s live points are capped at 1, because a registry
+    record holds a published efficiency in (0, 1]."""
+    return transduction(params, op.gamma_e, op.gamma_o)[1]

@@ -22,6 +22,7 @@ from .core import (
     NoiseEnvironment,
     OperatingPoint,
     assemble_budget,
+    transduction,
 )
 
 MODEL_IDEAL_UP = "ideal_up"
@@ -46,7 +47,7 @@ def _require_positive(name: str, value: float):
 def _damping_and_occupancies(params: DeviceParams, env: NoiseEnvironment, gamma_e, gamma_o):
     """Total damping Gamma_T, n_bar_e, and the port occupancies n_em and n_om."""
     nbe = n_bar_e(env, gamma_e)
-    gamma_t = gamma_e + gamma_o + params.gamma_m
+    gamma_t = transduction(params, gamma_e, gamma_o)[0]
     return gamma_t, nbe, nbe + params.n_min_e, env.n_bar_o + params.n_min_o
 
 

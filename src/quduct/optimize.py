@@ -25,7 +25,9 @@ from .core import (
     NoiseBudget,
     NoiseEnvironment,
     OperatingPoint,
-    rate_to_hz,
+    check_duty,
+    eta_bandwidth_duty,
+    transduction,
 )
 
 # objectives equal within this relative spread count as flat
@@ -64,8 +66,7 @@ class SweepSpec:
                 raise ValueError(f"{name} needs a fixed positive rate below inf, got {axis!r}")
         if not (isinstance(self.gamma_e, tuple) or isinstance(self.gamma_o, tuple)):
             raise ValueError("nothing to sweep: give gamma_e or gamma_o a (low, high) range")
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError(f"duty cycle must be in (0, 1], got {self.duty}")
+        check_duty(self.duty)
 
     def axes(self) -> tuple:
         """The gamma_e and gamma_o axes (rad/s) of the grid :func:`sweep` runs.
@@ -104,14 +105,8 @@ def sweep(spec: SweepSpec, params: DeviceParams, env: NoiseEnvironment) -> dict:
     Negative totals raise one :class:`InconsistentBudgetWarning`.
     """
     gamma_e, gamma_o = (grid.ravel() for grid in np.meshgrid(*spec.axes(), indexing="ij"))
-    # apparent_efficiency * bandwidth_hz * duty over arrays; unlike
-    # core.throughput, it lets the sideband gain push the efficiency past 1
-    gamma_t = gamma_e + gamma_o + params.gamma_m
-    if (gamma_t <= 0).any():
-        raise ValueError("total damping must be positive")
-    eta = params.gain_total * params.eta_m * (4.0 * gamma_e * gamma_o / (gamma_t * gamma_t))
-    columns = {"gamma_e": gamma_e, "gamma_o": gamma_o}
-    columns["throughput_hz"] = eta * rate_to_hz(gamma_t) * spec.duty
+    throughput_hz = eta_bandwidth_duty(*transduction(params, gamma_e, gamma_o)[1:], spec.duty)
+    columns = {"gamma_e": gamma_e, "gamma_o": gamma_o, "throughput_hz": throughput_hz}
     total, terms, rejected = _evaluate(spec.model, params, env, gamma_e, gamma_o)
     names = ("total", "motional", "electromagnetic", "correlation")
     for name, value in zip(names, (total, *terms)):

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .capacity import capacity_contours
+from .core import throughput
 
 REGISTRY_HEADER = [
     "label",
@@ -56,18 +57,15 @@ class DeviceRecord:
     def __post_init__(self):
         if self.direction not in ("up", "down"):
             raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
-        if self.n_add < 0:
-            raise ValueError("n_add must be nonnegative")
+        if not self.n_add >= 0:  # written so that nan fails
+            raise ValueError(f"n_add must be nonnegative, got {self.n_add}")
         if not 0 < self.eta <= 1:
-            raise ValueError("eta must be in (0, 1]")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if not 0 < self.duty <= 1:
-            raise ValueError("duty must be in (0, 1]")
+            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        throughput(self.eta, self.bandwidth_hz, self.duty)  # checks bandwidth_hz and duty
 
     @property
     def throughput_hz(self) -> float:
-        return self.eta * self.bandwidth_hz * self.duty
+        return throughput(self.eta, self.bandwidth_hz, self.duty)
 
 
 def bundled_registry_path() -> Path:

@@ -11,12 +11,17 @@ import quduct
 
 
 def pytest_configure(config):
-    """Point hypothesis's storage, which it fills even with ``database=None``,
-    at a temporary directory instead of ``.hypothesis/`` in the working one."""
+    """Load the one hypothesis profile: derandomized, with no example database
+    and no deadline, so every run draws the same examples.  Point hypothesis's
+    storage, which it fills even with ``database=None``, at a temporary
+    directory instead of ``.hypothesis/`` in the working one."""
     try:
+        from hypothesis import settings
         from hypothesis.configuration import set_hypothesis_home_dir
     except ImportError:  # the tests that use hypothesis fail on their own import
         return
+    settings.register_profile("quduct", derandomize=True, database=None, deadline=None)
+    settings.load_profile("quduct")
     home = tempfile.mkdtemp(prefix="quduct-hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)

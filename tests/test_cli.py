@@ -267,6 +267,19 @@ def test_compare_writes_no_contour_file_for_a_nan_range(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_compare_rejects_a_nonfinite_registry_row_by_line_and_field(tmp_path, capsys):
+    registry_path = tmp_path / "reg.csv"
+    registry_path.write_text("label,direction,n_add,eta,bandwidth_hz,duty,source,notes\n"
+                             "Bad,up,nan,0.5,inf,1.0,x,\n")
+    out_dir = tmp_path / "d"
+    code, out, err = run(capsys, "compare", "--direction", "up", "--levels", "100",
+                         "--registry", str(registry_path), "--out-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {registry_path}: line 2: n_add must be nonnegative, got nan\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -119,6 +119,12 @@ def test_throughput_rejects_out_of_range():
         throughput(0.5, -1.0, 1.0)
     with pytest.raises(ValueError):
         throughput(0.5, 1.0, 0.0)
+    with pytest.raises(ValueError, match="bandwidth_hz must be positive and finite, got inf"):
+        throughput(0.5, math.inf)
+    with pytest.raises(ValueError, match="bandwidth_hz must be positive and finite, got nan"):
+        throughput(0.5, math.nan)
+    with pytest.raises(ValueError, match=r"duty cycle must be in \(0, 1\], got nan"):
+        throughput(0.5, 1.0, math.nan)
 
 
 def test_throughput_monotone_in_each_argument():

@@ -344,7 +344,7 @@ def _table_blocks(draw):
     return blocks
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(blocks=_table_blocks(), chunk_rows=st.integers(1, 5))
 def test_float_table_matches_csv_writer_on_drawn_tables(blocks, chunk_rows):
     header = ["c0", "c1", "c2"]
