@@ -18,7 +18,6 @@ from .core import (
     rate_from_hz,
     rate_to_hz,
     throughput,
-    total_damping,
     validate_device,
 )
 from .capacity import (
@@ -48,7 +47,6 @@ __all__ = [
     "rate_from_hz",
     "rate_to_hz",
     "throughput",
-    "total_damping",
     "validate_device",
     "__version__",
 ]

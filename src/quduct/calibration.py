@@ -37,6 +37,9 @@ class OccupancyRecord:
     method: str = METHOD_MICROWAVE
 
     def __post_init__(self):
+        for name in ("gamma_e", "n_bar_e", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_bar_e < 0:
             raise ValueError("occupancy must be nonnegative")
         if self.sigma <= 0:

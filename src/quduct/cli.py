@@ -15,12 +15,13 @@ before the handler runs, so a handler reads ``args`` as plain values.
 
 A handler checks its input and computes every value before it returns
 what it computed: a list of lines, or a table as the CSV chunks of
-:func:`registry.float_table`, which only formats.
-The output is written once the handler has returned, so a failure
-leaves stdout empty and writes no ``--out`` file, and a large table is
-streamed block by block instead of being held as one string.  validate
-and filter-analysis write through :func:`_write` themselves and return
-the exit status.  Warnings go to stderr as ``warning: <message>`` lines.
+:func:`registry.float_table`, which only formats.  :func:`cli_dispatch`
+alone writes that output, to stdout or ``--out``, once the handler has
+returned, so a failure leaves stdout empty and writes no ``--out`` file,
+and a large table is streamed block by block, never held as one string.
+filter-analysis writes its ``--trace`` file, and compare its bundle under
+``--out-dir``, before they return.  A failure is one ``error: <message>``
+line on stderr, and a warning one ``warning: <message>`` line.
 
 Exit status: 0 on success, 1 on validation or evaluation failure,
 2 on usage errors.
@@ -52,7 +53,6 @@ from .core import (
     bandwidth_hz,
     rate_from_hz,
     rate_to_hz,
-    validate_device,
 )
 from .registry import format_float
 
@@ -115,6 +115,15 @@ def _rate_range(text: str, flag: str):
     return tuple(map(rate_from_hz, _positive_range(text, flag)))
 
 
+def _given_rate(args, flag: str) -> float:
+    """The rate ``flag`` gives in Hz, as rad/s, failing unless that is nonnegative and finite."""
+    rate_hz = getattr(args, _dest(flag))
+    rate = rate_from_hz(rate_hz)
+    if not 0.0 <= rate < math.inf:  # written so that nan fails
+        raise ValueError(f"{flag} must be nonnegative and finite in rad/s, got {rate_hz!r} Hz")
+    return rate
+
+
 def _fixed_rate(text, flag: str, swept: str) -> float:
     """``flag``'s rate in Hz, held fixed while ``swept`` runs, as rad/s."""
     if text is None:
@@ -151,28 +160,19 @@ def _resolve_op(args, cfg) -> OperatingPoint:
     if op is None and (args.gamma_e_hz is None or args.gamma_o_hz is None):
         raise ValueError("give --op NAME or both --gamma-e-hz and --gamma-o-hz")
     return OperatingPoint(
-        gamma_e=op.gamma_e if args.gamma_e_hz is None else rate_from_hz(args.gamma_e_hz),
-        gamma_o=op.gamma_o if args.gamma_o_hz is None else rate_from_hz(args.gamma_o_hz),
+        gamma_e=op.gamma_e if args.gamma_e_hz is None else _given_rate(args, "--gamma-e-hz"),
+        gamma_o=op.gamma_o if args.gamma_o_hz is None else _given_rate(args, "--gamma-o-hz"),
         duty=args.duty if args.duty is not None else (op.duty if op else 1.0),
     )
 
 
-def _load_valid_config(path):
-    """:func:`load_config`, failing on a device that :func:`validate_device` rejects."""
-    cfg = load_config(path)
-    if report := validate_device(cfg.device):
-        raise ValueError(f"{path} fails validation: {'; '.join(report)}")
-    return cfg
-
-
-def _cmd_validate(args) -> int:
-    report = validate_device(load_config(args.config).device)
-    _write([f"violation: {item}" for item in report] or ["ok"])
-    return 1 if report else 0
+def _cmd_validate(args):
+    load_config(args.config)
+    return ["ok"]
 
 
 def _cmd_noise(args):
-    cfg = _load_valid_config(args.config)
+    cfg = load_config(args.config)
     op = _resolve_op(args, cfg)
     model = _model_for(args.direction, args.model)
     budget = noise.evaluate(model, cfg.device, op, cfg.environment)
@@ -184,7 +184,7 @@ def _cmd_noise(args):
 
 
 def _cmd_sweep(args):
-    cfg = _load_valid_config(args.config)
+    cfg = load_config(args.config)
     model = _model_for(args.direction, args.model)
     gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
     if args.variable == "gamma-e":
@@ -217,14 +217,14 @@ def _cmd_sweep(args):
 
 
 def _cmd_optimize(args):
-    cfg = _load_valid_config(args.config)
+    cfg = load_config(args.config)
     bracket = _rate_range(args.bracket_hz, "--bracket-hz")
     if args.direction == "up":
         if args.gamma_o_hz is None:
             raise ValueError("upconversion optimization needs --gamma-o-hz")
         model = _model_for("up", args.model)
         result = optimize.optimize_up(
-            cfg.device, cfg.environment, gamma_o_fixed=rate_from_hz(args.gamma_o_hz),
+            cfg.device, cfg.environment, gamma_o_fixed=_given_rate(args, "--gamma-o-hz"),
             bracket=bracket, model=model, duty=args.duty,
         )
     else:
@@ -307,7 +307,7 @@ def _cmd_contours(args):
     )
 
 
-def _cmd_filter_analysis(args) -> int:
+def _cmd_filter_analysis(args):
     if args.preset == "paper":
         spec = filters.tuned_preset(span_hz=args.span_hz, n_points=args.n_points)
     else:
@@ -325,9 +325,12 @@ def _cmd_filter_analysis(args) -> int:
     report = filters.filter_report(response, t_rep)
     summary = (report.eta_notch, report.eta_temporal, report.eta_total,
                report.tail_noise_photons, report.t_rep_s)
-    # the report goes out before the trace, so an unwritable --trace path still leaves it
+    if args.trace:
+        # one block, which the writer formats a fixed number of rows at a time
+        trace = [[response.times_s, response.energy_density]]
+        _write(registry.float_table(["t_s", "energy_density"], trace), args.trace)
     notches = ";".join(f"{format_float(lo)}:{format_float(hi)}" for lo, hi in spec.notches)
-    _write([
+    return [
         *_floats(linewidth_hz=spec.linewidth_hz, t_rep_s=report.t_rep_s),
         f"notches={notches}",
         *_floats(
@@ -341,12 +344,7 @@ def _cmd_filter_analysis(args) -> int:
         "",
         "eta_notch,eta_temporal,eta_total,tail_noise_photons,t_rep_s",
         ",".join(map(format_float, summary)),
-    ], args.out)
-    if args.trace:
-        # one block, which the writer formats a fixed number of rows at a time
-        trace = [[response.times_s, response.energy_density]]
-        _write(registry.float_table(["t_s", "energy_density"], trace), args.trace)
-    return 0
+    ]
 
 
 def _cmd_fit_spectrum(args):
@@ -401,7 +399,7 @@ def _cmd_compare(args):
     records = registry.load_registry(path)
     live = []
     if args.config:
-        cfg = _load_valid_config(args.config)
+        cfg = load_config(args.config)
         model = _model_for(args.direction, "lossy")
         for name, op in sorted(cfg.operating_points.items()):
             budget = noise.evaluate(model, cfg.device, op, cfg.environment)
@@ -596,10 +594,7 @@ def cli_dispatch(argv) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             _read_flags(args, flags, modes)
-            output = run(args)
-            if isinstance(output, int):
-                return output
-            _write(output, getattr(args, "out", None))
+            _write(run(args), getattr(args, "out", None))
             return 0
         except (ValueError, RuntimeError, OSError) as exc:
             # ConfigError and RegistryError are ValueErrors

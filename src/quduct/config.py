@@ -14,7 +14,8 @@ and converted to seconds internally.
 
 Unknown keys are rejected rather than ignored, since a silently dropped
 ``_hz`` suffix is exactly the kind of mistake this layer exists to stop.
-No key can hold nan or inf, so a non-finite value is rejected on load.
+No key can hold nan or inf, so a non-finite value is rejected on load,
+and so is a device that :func:`validate_device` rejects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .core import DeviceParams, NoiseEnvironment, OperatingPoint, TWO_PI, rate_from_hz
+from .core import (
+    DeviceParams, NoiseEnvironment, OperatingPoint, TWO_PI, rate_from_hz, validate_device,
+)
 
 _DEVICE_REQUIRED = (
     "omega_m_hz",
@@ -86,7 +89,7 @@ def _get(parser, section, key, default=None):
 
 
 def load_config(path) -> Config:
-    """Parse ``path`` into device, environment, and named operating points."""
+    """Parse ``path`` into device, environment and operating points, refusing an invalid device."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
@@ -131,5 +134,7 @@ def load_config(path) -> Config:
         )
     if not operating_points:
         raise ConfigError("config defines no [operating_point.NAME] section")
+    if report := validate_device(device):
+        raise ConfigError(f"{path} fails validation: {'; '.join(report)}")
 
     return Config(device=device, environment=environment, operating_points=operating_points)

@@ -247,11 +247,6 @@ def eta_bandwidth_duty(eta, bandwidth_hz, duty):
     return eta * bandwidth_hz * duty
 
 
-def total_damping(params: DeviceParams, op: OperatingPoint) -> AngularRate:
-    """Total mechanical damping at ``op``, of :func:`transduction`."""
-    return transduction(params, op.gamma_e, op.gamma_o)[0]
-
-
 def bandwidth_hz(params: DeviceParams, op: OperatingPoint) -> float:
     """Transduction bandwidth in Hz at ``op``, of :func:`transduction`."""
     return transduction(params, op.gamma_e, op.gamma_o)[2]

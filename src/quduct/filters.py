@@ -101,8 +101,10 @@ class FilterReport:
 
 def _checked_span(linewidth_hz: float, span_hz: float | None, n_points: int) -> float:
     """The analysis span in Hz, 300 linewidths by default, after checking
-    that it covers at least 50 linewidths and ``n_points`` is a power of two."""
+    that it is finite, covers at least 50 linewidths and ``n_points`` is a power of two."""
     span = 300.0 * linewidth_hz if span_hz is None else float(span_hz)
+    if not math.isfinite(span):
+        raise ValueError(f"span_hz must be finite, got {span}")
     if span < MIN_SPAN_LINEWIDTHS * linewidth_hz:
         raise ValueError(f"span {span:.4g} Hz is below {MIN_SPAN_LINEWIDTHS} linewidths")
     if n_points < MIN_POINTS or (n_points & (n_points - 1)) != 0:

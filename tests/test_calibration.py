@@ -130,6 +130,21 @@ def test_load_occupancy_reports_bad_lines(tmp_path):
         load_occupancy_records(path)
 
 
+@pytest.mark.parametrize("row, field", [
+    ("2000,nan,0.05,microwave", "n_bar_e"),
+    ("nan,0.3,0.05,microwave", "gamma_e"),
+    ("inf,0.3,0.05,microwave", "gamma_e"),
+    ("2000,inf,0.05,microwave", "n_bar_e"),
+    ("2000,0.3,inf,microwave", "sigma"),
+    ("2000,0.3,nan,microwave", "sigma"),
+])
+def test_load_occupancy_rejects_a_nonfinite_field_by_line(tmp_path, row, field):
+    path = tmp_path / "records.csv"
+    path.write_text("gamma_e_hz,n_bar_e,sigma,method\n1000.0,0.21,0.05,microwave\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"^bad occupancy records: line 3: {field} must be finite"):
+        load_occupancy_records(path)
+
+
 def test_xi_e_degenerate_product():
     cal = ReadoutCalInput(
         xi_o=0.4, eps_cl=1.0, ratio_det=1.0,

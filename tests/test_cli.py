@@ -1,6 +1,7 @@
 import argparse
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +74,10 @@ def test_validate_ok(capsys):
 def test_validate_failure_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BAD_CFG)
-    code, out, _ = run(capsys, "validate", "--config", str(cfg))
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
     assert code == 1
-    assert "external exceeds total" in out
+    assert out == ""
+    assert err == f"error: {cfg} fails validation: external exceeds total linewidth on the e port\n"
 
 
 def test_noise_row(capsys):
@@ -91,23 +93,38 @@ def test_noise_row(capsys):
     assert float(fields[-1]) > 0
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+# typed, and as the message prints it: 1e308 Hz is finite, but not in rad/s
+@pytest.mark.parametrize("value, printed", [
+    ("inf", "inf"), ("nan", "nan"), ("-5", "-5.0"), ("1e308", "1e+308"),
+])
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, flag",
     [
-        (("noise", "--direction", "up", "--gamma-e-hz", "{}", "--gamma-o-hz", "1000"), "gamma_e"),
+        (("noise", "--direction", "up", "--gamma-e-hz", "{}", "--gamma-o-hz", "1000"),
+         "--gamma-e-hz"),
         (("noise", "--direction", "down", "--gamma-e-hz", "1000", "--gamma-o-hz", "{}"),
-         "gamma_o"),
-        (("optimize", "--direction", "up", "--gamma-o-hz", "{}"), "gamma_o"),
+         "--gamma-o-hz"),
+        (("optimize", "--direction", "up", "--gamma-o-hz", "{}"), "--gamma-o-hz"),
     ],
     ids=["noise-gamma-e", "noise-gamma-o", "optimize-gamma-o"],
 )
-def test_a_nonfinite_fixed_rate_is_rejected_by_name(capsys, argv, name, value):
+def test_a_bad_rate_flag_is_rejected_by_name(capsys, argv, flag, value, printed):
     argv = [arg.format(value) for arg in argv]
     code, out, err = run(capsys, *argv, "--config", EXAMPLE_CFG)
     assert code == 1
     assert out == ""
-    assert err == f"error: {name} must be finite and nonnegative, got {value}\n"
+    assert err == f"error: {flag} must be nonnegative and finite in rad/s, got {printed} Hz\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("noise", "--direction", "up", "--model", "lossy", "--op", "up", "--gamma-o-hz", "0"),
+    ("optimize", "--direction", "up", "--gamma-o-hz", "0"),
+], ids=["noise", "optimize"])
+def test_a_zero_rate_flag_is_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv, "--config", EXAMPLE_CFG)
+    assert code == 0
+    assert out != ""
+    assert err == ""
 
 
 def test_noise_needs_an_operating_point(capsys):
@@ -495,13 +512,19 @@ def test_filter_analysis_preset_rejects_filter_flags(capsys, flag, value):
         (("--linewidth-hz", "nan"), "linewidth_hz"),
         (("--linewidth-hz", "inf"), "linewidth_hz"),
         (("--linewidth-hz", "21700", "--center-hz", "nan"), "center_hz"),
+        (("--linewidth-hz", "21700", "--span-hz", "inf"), "span_hz"),
+        (("--linewidth-hz", "21700", "--span-hz", "nan"), "span_hz"),
+        (("--preset", "paper", "--span-hz", "inf"), "span_hz"),
+        (("--preset", "paper", "--span-hz", "nan"), "span_hz"),
     ],
 )
 def test_filter_analysis_nonfinite_input_writes_nothing(capsys, argv, name):
     code, out, err = run(capsys, "filter-analysis", "--n-points", "65536", *argv)
     assert code == 1
     assert out == ""
+    assert err.startswith("error: ")
     assert name in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -566,6 +589,18 @@ def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch
         assert fh.read() == csv_text(
             ["t_s", "energy_density"], zip(response.times_s, response.energy_density)
         )
+
+
+def test_filter_analysis_with_an_unwritable_trace_prints_nothing(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.csv"
+    code, out, err = run(
+        capsys, "filter-analysis", "--linewidth-hz", "21700", "--n-points", "65536",
+        "--trace", str(trace),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.parent.exists()
 
 
 def test_fit_occupancy_cli(tmp_path, capsys):
@@ -773,13 +808,16 @@ def test_optimize_warns_on_one_stderr_line(tmp_path, child_env):
          "--n", "2"),
         ("optimize", "--direction", "down"),
         ("compare", "--direction", "down", "--out-dir", "bundle"),
+        ("validate",),
     ],
-    ids=["noise", "sweep", "optimize", "compare"],
+    ids=["noise", "sweep", "optimize", "compare", "validate"],
 )
 def test_device_that_fails_validation_is_not_evaluated(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path / "bad.cfg", kappa_e_ext_hz=2.0e6, gain_e=-1.0)
-    report = validate_device(load_config(cfg).device)
+    # the same device built from the example's, as loading the bad file fails
+    device = replace(load_config(EXAMPLE_CFG).device, kappa_e_ext=rate_from_hz(2.0e6), gain_e=-1.0)
+    report = validate_device(device)
     assert len(report) == 2
     code, out, err = run(capsys, *argv, "--config", cfg)
     assert code == 1

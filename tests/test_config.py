@@ -85,6 +85,16 @@ def test_nonfinite_value_names_section_and_key(tmp_path, old, new, where):
         load_config(write(tmp_path, GOOD.replace(old, new)))
 
 
+def test_device_that_fails_validation_is_refused_naming_the_file(tmp_path):
+    text = GOOD.replace("kappa_e_ext_hz = 1.2e6", "kappa_e_ext_hz = 2e6\ngain_o = 0.5")
+    path = write(tmp_path, text.replace("eta_m = 0.4", "eta_m = 1.5"))
+    violations = ["external exceeds total linewidth on the e port",
+                  "gain below unity on the o port", "eta_m must lie in [0, 1]"]
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path} fails validation: {'; '.join(violations)}"
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.cfg")
