@@ -13,13 +13,13 @@ reference stiff-mode frequency (a measured input here, never modelled).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AngularRate, TWO_PI
+from .registry import read_csv_records
 
 METHOD_MICROWAVE = "microwave"
 METHOD_OPTOMECHANICAL = "optomechanical"
@@ -40,6 +40,8 @@ class OccupancyRecord:
         for name in ("gamma_e", "n_bar_e", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.gamma_e < 0:
+            raise ValueError(f"gamma_e must be nonnegative, got {self.gamma_e}")
         if self.n_bar_e < 0:
             raise ValueError("occupancy must be nonnegative")
         if self.sigma <= 0:
@@ -103,32 +105,18 @@ def fit_occupancy(records, unweighted: bool = False) -> OccupancyFit:
     return OccupancyFit(a_e=float(beta[0]), b_e=float(beta[1]), covariance=covariance)
 
 
+def _occupancy_record(row) -> OccupancyRecord:
+    return OccupancyRecord(
+        gamma_e=TWO_PI * float(row["gamma_e_hz"]),
+        n_bar_e=float(row["n_bar_e"]),
+        sigma=float(row["sigma"]),
+        method=row["method"].strip(),
+    )
+
+
 def load_occupancy_records(path) -> list:
     """Read occupancy records from CSV with the documented header."""
-    records = []
-    problems = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != OCCUPANCY_CSV_HEADER:
-            raise ValueError(
-                f"expected header {','.join(OCCUPANCY_CSV_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    OccupancyRecord(
-                        gamma_e=TWO_PI * float(row["gamma_e_hz"]),
-                        n_bar_e=float(row["n_bar_e"]),
-                        sigma=float(row["sigma"]),
-                        method=row["method"].strip(),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                problems.append(f"line {line_no}: {exc}")
-    if problems:
-        raise ValueError("bad occupancy records: " + "; ".join(problems))
-    return records
+    return read_csv_records(path, OCCUPANCY_CSV_HEADER, _occupancy_record)
 
 
 # The seven factors of the readout-efficiency product, in product order.

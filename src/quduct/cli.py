@@ -103,16 +103,18 @@ def _levels(text: str) -> list:
         raise ValueError(f"--levels expects comma-separated numbers, got {text!r}") from None
 
 
-def _positive_range(text: str, flag: str):
-    """``LOW:HIGH`` of a rate axis or bracket, failing unless 0 < LOW < HIGH < inf."""
-    lo, hi = _parse_pair(text, flag)
+def _positive_range(text: str, flag: str, convert=float):
+    """``LOW:HIGH`` of a rate axis or bracket, as ``convert`` maps them,
+    failing unless 0 < LOW < HIGH < inf after the mapping."""
+    lo, hi = map(convert, _parse_pair(text, flag))
     if not 0.0 < lo < hi < math.inf:  # written so that nan fails
         raise ValueError(f"{flag} must be finite, positive and increasing, got {text!r}")
     return lo, hi
 
 
 def _rate_range(text: str, flag: str):
-    return tuple(map(rate_from_hz, _positive_range(text, flag)))
+    """``LOW:HIGH`` in Hz of a rate axis or bracket, as rad/s."""
+    return _positive_range(text, flag, rate_from_hz)
 
 
 def _given_rate(args, flag: str) -> float:
@@ -129,12 +131,12 @@ def _fixed_rate(text, flag: str, swept: str) -> float:
     if text is None:
         raise ValueError(f"sweeping {swept} needs {flag}")
     try:
-        rate = float(text)
+        rate = rate_from_hz(float(text))
     except ValueError:
         rate = math.nan
     if not 0.0 < rate < math.inf:  # written so that nan fails
         raise ValueError(f"{flag} must be finite and positive, got {text!r}")
-    return rate_from_hz(rate)
+    return rate
 
 
 def _model_for(direction: str, style: str) -> str:
@@ -597,7 +599,7 @@ def cli_dispatch(argv) -> int:
             _write(run(args), getattr(args, "out", None))
             return 0
         except (ValueError, RuntimeError, OSError) as exc:
-            # ConfigError and RegistryError are ValueErrors
+            # ConfigError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

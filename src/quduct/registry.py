@@ -1,16 +1,18 @@
-"""Published-device registry and comparison-figure data emission.
+"""Published-device registry, comparison-figure data emission, and the
+package's one CSV reader and one CSV writer.
 
 The bundled registry stores reported transducer performance figures
 exactly as tabulated in their sources; the notes column carries any
 convention caveat (mode-matching inclusion differs between platforms and
-is deliberately not normalised away).
+is deliberately not normalised away).  :func:`read_csv_records` reads
+every CSV input file (the registry, occupancy records and spectra), and
+:func:`float_table` writes every CSV output.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib.resources
-import io
 import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, pairwise
@@ -35,10 +37,6 @@ REGISTRY_HEADER = [
 
 SCATTER_HEADER = ["throughput_hz", "n_add", "label", "direction"]
 CONTOUR_HEADER = ["level", "x_throughput_hz", "y_n_add"]
-
-
-class RegistryError(ValueError):
-    """Malformed registry content; message lists line numbers."""
 
 
 @dataclass(frozen=True)
@@ -73,49 +71,63 @@ def bundled_registry_path() -> Path:
     return Path(importlib.resources.files("quduct")) / "data" / "registry.csv"
 
 
-def _parse_rows(reader, origin: str):
+def read_csv_records(path, header, record) -> list:
+    """One record per row of the CSV file at ``path``, which starts with ``header``.
+
+    ``record`` turns one row, a dict from each header field to its text,
+    into one record.  Blank lines are skipped; every other row must hold
+    exactly ``len(header)`` fields.  Every row that fails, and a line that
+    cannot be split into fields, which ends the reading, is reported by its
+    physical line in one ValueError, ``PATH: line N: ...; line M: ...``.
+    """
     records = []
     problems = []
-    seen = set()
-    for line_no, row in enumerate(reader, start=2):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}, got {found}")
         try:
-            record = DeviceRecord(
-                label=row["label"].strip(),
-                direction=row["direction"].strip(),
-                n_add=float(row["n_add"]),
-                eta=float(row["eta"]),
-                bandwidth_hz=float(row["bandwidth_hz"]),
-                duty=float(row["duty"]),
-                source=(row.get("source") or "").strip(),
-                notes=(row.get("notes") or "").strip(),
-            )
-        except (TypeError, ValueError, AttributeError, KeyError) as exc:
-            problems.append(f"line {line_no}: {exc}")
-            continue
-        key = (record.label, record.direction)
-        if key in seen:
-            warnings.warn(
-                f"{origin} line {line_no}: duplicate record {key}", stacklevel=3
-            )
-        seen.add(key)
-        records.append(record)
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    records.append(record(dict(zip(header, row))))
+                except ValueError as exc:
+                    problems.append(f"line {reader.line_num}: {exc}")
+        except csv.Error as exc:  # a line the csv module cannot split ends the file
+            problems.append(f"line {reader.line_num}: {exc}")
     if problems:
-        raise RegistryError(f"{origin}: " + "; ".join(problems))
+        raise ValueError(f"{path}: " + "; ".join(problems))
     return records
+
+
+def _device_record(row) -> DeviceRecord:
+    return DeviceRecord(
+        label=row["label"].strip(),
+        direction=row["direction"].strip(),
+        n_add=float(row["n_add"]),
+        eta=float(row["eta"]),
+        bandwidth_hz=float(row["bandwidth_hz"]),
+        duty=float(row["duty"]),
+        source=row["source"].strip(),
+        notes=row["notes"].strip(),
+    )
 
 
 def load_registry(path=None) -> list:
     """Load device records from ``path``, or the bundled registry."""
     if path is None:
         path = bundled_registry_path()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != REGISTRY_HEADER:
-            raise RegistryError(
-                f"{path}: expected header {','.join(REGISTRY_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
-        return _parse_rows(reader, str(path))
+    records = read_csv_records(path, REGISTRY_HEADER, _device_record)
+    seen = set()
+    for key in ((record.label, record.direction) for record in records):
+        if key in seen:
+            warnings.warn(f"{path}: duplicate record {key}", stacklevel=2)
+        seen.add(key)
+    return records
 
 
 def format_float(x) -> str:
@@ -123,16 +135,12 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def csv_text(header, rows) -> str:
-    """CSV text of ``header`` and then ``rows``, quoting text that needs it.
-
-    A str field is written as it is, any other through :func:`format_float`.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows([v if isinstance(v, str) else format_float(v) for v in row] for row in rows)
-    return out.getvalue()
+def _quoted(field: str) -> str:
+    """``field`` as :func:`csv.writer` writes it: in double quotes, each quote
+    doubled, when it holds a comma, a quote, a carriage return or a line feed."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 # rows formatted at a time in a long block, so that the memory a table
@@ -182,23 +190,25 @@ def float_table(header, blocks):
 
     A :class:`MaskedBlock` writes only the rows its boolean ``keep`` marks,
     and formats only those of its fresh entries.  Floats go through
-    :func:`_format_all`, so the text is what :func:`csv_text` writes for
-    the same rows: no float field ever needs quoting, and a str entry must
-    not need it either.  A block without a sequence is one row.  A block is
+    :func:`_format_all`, and a str entry or header field through
+    :func:`_quoted`, so the text is what :func:`csv.writer` writes for the
+    same rows after :func:`format_float` of every float (no float field
+    ever needs quoting).  A block without a sequence is one row.  A block is
     formatted ``_CHUNK_ROWS`` rows at a time; a sequence that recurs is
     kept for the next block as one joined string per chunk.  Blocks are
     read one ahead, to see which sequences recur, so a block's arrays must
     not change once the block is given.  Formatting is all the generator
     does; check and compute every value before the first chunk is written.
     """
-    yield ",".join(header) + "\r\n"
+    yield ",".join(map(_quoted, header)) + "\r\n"
     shared = {}  # column -> fields joined per chunk, of a sequence repeated from the block before
     end = [((), None)]  # read one block ahead, past the last one too
     for (entries, keep), (upcoming, _) in pairwise(chain(map(_unpack, blocks), end)):
         recurring = {index for index, (entry, following) in enumerate(zip(entries, upcoming))
                      if entry is following and _is_sequence(entry)}
         joined = {index: shared.get(index, []) for index in recurring | shared.keys()}
-        entries = [entry if hasattr(entry, "__len__") else _format_all([entry])[0]
+        entries = [_quoted(entry) if isinstance(entry, str)
+                   else entry if hasattr(entry, "__len__") else _format_all([entry])[0]
                    for entry in entries]
         lengths = {len(entry) for entry in entries if _is_sequence(entry)}
         if len(lengths) > 1:
@@ -235,9 +245,9 @@ def float_table(header, blocks):
 
 def scatter_csv(records, direction: str | None = None) -> str:
     """Scatter CSV text of (throughput, noise) for the requested direction."""
-    rows = ((r.throughput_hz, r.n_add, r.label, r.direction)
+    rows = ([r.throughput_hz, r.n_add, r.label, r.direction]
             for r in records if direction is None or r.direction == direction)
-    return csv_text(SCATTER_HEADER, rows)
+    return "".join(float_table(SCATTER_HEADER, rows))
 
 
 def contour_table(levels, throughput_range_hz, n_add_range=(1e-3, 0.999), n_samples=512):

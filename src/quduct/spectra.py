@@ -4,11 +4,12 @@ exclusion bands, and band-averaged added noise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .registry import read_csv_records
 
 # The Lorentzian fit converges at this relative gradient norm, or stops
 # after this many iterations.
@@ -208,38 +209,29 @@ def fit_lorentzian(
 SPECTRUM_CSV_HEADER = ["freq_hz", "value"]
 
 
+def _spectrum_point(row) -> tuple:
+    freq, value = float(row["freq_hz"]), float(row["value"])
+    if not (math.isfinite(freq) and math.isfinite(value)):
+        raise ValueError(f"{row['freq_hz']},{row['value']} is not finite")
+    return freq, value
+
+
 def read_spectrum_csv(path) -> Spectrum:
     """Read a spectrum from CSV (header ``freq_hz,value``).
 
     Rows must form a uniform, strictly increasing frequency grid.
     """
-    freqs = []
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SPECTRUM_CSV_HEADER:
-            raise ValueError(
-                f"expected header {','.join(SPECTRUM_CSV_HEADER)}, got {header}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                freqs.append(float(row[0]))
-                values.append(float(row[1]))
-                if not (math.isfinite(freqs[-1]) and math.isfinite(values[-1])):
-                    raise ValueError(f"{row[0]},{row[1]} is not finite")
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path} line {line_no}: {exc}") from exc
-    if len(freqs) < 2:
-        raise ValueError("spectrum needs at least 2 rows")
-    freqs = np.asarray(freqs)
+    points = read_csv_records(path, SPECTRUM_CSV_HEADER, _spectrum_point)
+    if len(points) < 2:
+        raise ValueError(f"{path}: spectrum needs at least 2 rows")
+    freqs, values = map(np.array, zip(*points))
     steps = np.diff(freqs)
     if np.any(steps <= 0):
-        raise ValueError("frequencies must be strictly increasing")
+        raise ValueError(f"{path}: frequencies must be strictly increasing")
     if np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
-        raise ValueError("frequency grid is not uniform")
+        raise ValueError(f"{path}: frequency grid is not uniform")
     grid = FrequencyGrid(float(freqs[0]), float(freqs[-1]), len(freqs))
-    return Spectrum(grid, np.asarray(values))
+    return Spectrum(grid, values)
 
 
 def averaged_added_noise(

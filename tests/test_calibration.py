@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,19 +131,25 @@ def test_load_occupancy_reports_bad_lines(tmp_path):
         load_occupancy_records(path)
 
 
-@pytest.mark.parametrize("row, field", [
-    ("2000,nan,0.05,microwave", "n_bar_e"),
-    ("nan,0.3,0.05,microwave", "gamma_e"),
-    ("inf,0.3,0.05,microwave", "gamma_e"),
-    ("2000,inf,0.05,microwave", "n_bar_e"),
-    ("2000,0.3,inf,microwave", "sigma"),
-    ("2000,0.3,nan,microwave", "sigma"),
+@pytest.mark.parametrize("row, message", [
+    ("2000,nan,0.05,microwave", "n_bar_e must be finite, got nan"),
+    ("nan,0.3,0.05,microwave", "gamma_e must be finite, got nan"),
+    ("inf,0.3,0.05,microwave", "gamma_e must be finite, got inf"),
+    ("2000,inf,0.05,microwave", "n_bar_e must be finite, got inf"),
+    ("2000,0.3,inf,microwave", "sigma must be finite, got inf"),
+    ("2000,0.3,nan,microwave", "sigma must be finite, got nan"),
+    ("-1000,0.3,0.05,microwave", f"gamma_e must be nonnegative, got {rate_from_hz(-1000.0)}"),
 ])
-def test_load_occupancy_rejects_a_nonfinite_field_by_line(tmp_path, row, field):
+def test_load_occupancy_rejects_a_nonfinite_or_negative_field_by_line(tmp_path, row, message):
     path = tmp_path / "records.csv"
     path.write_text("gamma_e_hz,n_bar_e,sigma,method\n1000.0,0.21,0.05,microwave\n" + row + "\n")
-    with pytest.raises(ValueError, match=f"^bad occupancy records: line 3: {field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 3: {message}')}$"):
         load_occupancy_records(path)
+
+
+def test_occupancy_record_accepts_a_zero_rate():
+    assert OccupancyRecord(gamma_e=0.0, n_bar_e=0.7, sigma=0.05).gamma_e == 0.0
+    assert OccupancyRecord(gamma_e=-0.0, n_bar_e=0.7, sigma=0.05).gamma_e == 0.0
 
 
 def test_xi_e_degenerate_product():

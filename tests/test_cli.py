@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,7 +29,7 @@ from quduct.core import (
     validate_device,
 )
 from quduct.filters import filter_report, impulse_response
-from quduct.registry import bundled_registry_path, contour_csv, csv_text
+from quduct.registry import bundled_registry_path, contour_csv
 
 EXAMPLE_CFG = str(bundled_registry_path().parent / "example_device.cfg")
 
@@ -53,6 +55,15 @@ def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _csv_text(header, rows) -> str:
+    """What :func:`csv.writer` writes for ``header`` and then ``rows``."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -295,6 +306,31 @@ def test_compare_rejects_a_nonfinite_registry_row_by_line_and_field(tmp_path, ca
     assert out == ""
     assert err == f"error: {registry_path}: line 2: n_add must be nonnegative, got nan\n"
     assert not out_dir.exists()
+
+
+# a file of each kind whose line 3 is one field short, and the argv that reads it
+SHORT_ROW_FILES = {
+    "registry": ("label,direction,n_add,eta,bandwidth_hz,duty,source,notes\n"
+                 "A,up,0.5,0.5,1000,1,src,\nB,up,0.5,0.5,1000,1,src\n", 8,
+                 ("compare", "--direction", "up", "--levels", "100", "--out-dir", "d",
+                  "--registry")),
+    "occupancy": ("gamma_e_hz,n_bar_e,sigma,method\n1000.0,0.21,0.05,microwave\n"
+                  "2000,0.8,0.05\n", 4, ("fit-occupancy", "--records")),
+    "spectrum": ("freq_hz,value\n0.0,1.0\n1.0\n", 2, ("fit-spectrum", "--spectrum")),
+}
+
+
+@pytest.mark.parametrize("kind", list(SHORT_ROW_FILES))
+def test_a_short_csv_row_fails_naming_the_file_and_line(tmp_path, capsys, monkeypatch, kind):
+    text, n_fields, argv = SHORT_ROW_FILES[kind]
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: line 3: expected {n_fields} fields, got {n_fields - 1}\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize(
@@ -586,8 +622,9 @@ def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch
     report = filter_report(response, 3.0 / (2 * np.pi * 21700))
     assert f"eta_total={report.eta_total!r}" in out.splitlines()
     with open(trace, newline="") as fh:
-        assert fh.read() == csv_text(
-            ["t_s", "energy_density"], zip(response.times_s, response.energy_density)
+        assert fh.read() == _csv_text(
+            ["t_s", "energy_density"],
+            zip(response.times_s.tolist(), response.energy_density.tolist()),
         )
 
 
@@ -859,25 +896,25 @@ def test_optimize_down_rejects_gamma_o(capsys):
 
 
 BAD_BOUNDS = {"nan": "nan:{hi}", "inf": "{lo}:inf", "reversed": "{hi}:{lo}", "zero": "0:{hi}"}
+# a finite bound whose rad/s value overflows is bad only in a bracket of rates in Hz
+RATE_BOUNDS = {**BAD_BOUNDS, "overflow": "{lo}:1e308"}
+BRACKET_MODES = [
+    ("up", ("up", "--gamma-o-hz", "11000"), "--bracket-hz", 10.0, 1e7, RATE_BOUNDS),
+    ("down-gamma-o", ("down",), "--bracket-hz", 10.0, 1e7, RATE_BOUNDS),
+    ("down-ratio", ("down",), "--ratio-bracket", 1e-3, 1e3, BAD_BOUNDS),
+]
 
 
-@pytest.mark.parametrize("case", list(BAD_BOUNDS))
-@pytest.mark.parametrize(
-    "mode, flag, lo, hi",
-    [
-        (("up", "--gamma-o-hz", "11000"), "--bracket-hz", 10.0, 1e7),
-        (("down",), "--bracket-hz", 10.0, 1e7),
-        (("down",), "--ratio-bracket", 1e-3, 1e3),
-    ],
-    ids=["up", "down-gamma-o", "down-ratio"],
-)
-def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode, flag, lo, hi):
+@pytest.mark.parametrize("mode, flag, text", [
+    pytest.param(mode, flag, bound.format(lo=lo, hi=hi), id=f"{name}-{case}")
+    for name, mode, flag, lo, hi, bounds in BRACKET_MODES for case, bound in bounds.items()
+])
+def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, mode, flag, text):
     def not_reached(*args, **kwargs):
         raise AssertionError("the noise model ran before the bracket was checked")
 
     monkeypatch.setattr(noise, "terms", not_reached)
     monkeypatch.setattr(noise, "evaluate", not_reached)
-    text = BAD_BOUNDS[case].format(lo=lo, hi=hi)
     code, out, err = run(
         capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", *mode, flag, text,
     )
@@ -901,9 +938,13 @@ def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, case, mode,
          "--gamma-e-hz must be finite and positive, got 'x'"),
         (("--variable", "both", "--range-hz", "10:100", "--range2-hz", "nan:100"),
          "--range2-hz must be finite, positive and increasing, got 'nan:100'"),
+        (("--range-hz", "10:1e308", "--gamma-o-hz", "1000"),
+         "--range-hz must be finite, positive and increasing, got '10:1e308'"),
+        (("--range-hz", "10:100", "--gamma-o-hz", "1e308"),
+         "--gamma-o-hz must be finite and positive, got '1e308'"),
     ],
     ids=["range-hz", "gamma-o-hz", "gamma-e-hz", "gamma-o-hz-negative", "gamma-e-hz-text",
-         "range2-hz"],
+         "range2-hz", "range-hz-overflow", "gamma-o-hz-overflow"],
 )
 def test_sweep_rejects_an_infinite_rate_by_name(capsys, rates, message):
     code, out, err = run(
@@ -1028,7 +1069,7 @@ def test_fit_spectrum_cli(tmp_path, capsys):
     values = 0.05 + 1.3 / (1.0 + ((f - 1.27e6) / 4.5e3) ** 2)
     values[(f >= 1.275e6) & (f <= 1.277e6)] += 20.0
     path = tmp_path / "spectrum.csv"
-    path.write_text(csv_text(SPECTRUM_CSV_HEADER, zip(f, values)))
+    path.write_text(_csv_text(SPECTRUM_CSV_HEADER, zip(f.tolist(), values.tolist())))
     code, out, _ = run(
         capsys, "fit-spectrum", "--spectrum", str(path),
         "--exclude", "1.275e6:1.277e6",
@@ -1044,9 +1085,11 @@ def test_fit_spectrum_efficiency_cli(tmp_path, capsys):
     paths = {"spectrum": tmp_path / "spectrum.csv", "efficiency": tmp_path / "efficiency.csv"}
     values = 0.05 + 1.3 / (1.0 + ((f - 1.27e6) / 4.5e3) ** 2)
     values[(f >= 1.275e6) & (f <= 1.277e6)] += 20.0
-    paths["spectrum"].write_text(csv_text(spectra.SPECTRUM_CSV_HEADER, zip(f, values)))
+    paths["spectrum"].write_text(
+        _csv_text(spectra.SPECTRUM_CSV_HEADER, zip(f.tolist(), values.tolist())))
     efficiency = 0.4 / (1.0 + ((f - 1.268e6) / 6e3) ** 2)
-    paths["efficiency"].write_text(csv_text(spectra.SPECTRUM_CSV_HEADER, zip(f, efficiency)))
+    paths["efficiency"].write_text(
+        _csv_text(spectra.SPECTRUM_CSV_HEADER, zip(f.tolist(), efficiency.tolist())))
     bands = [(1.275e6, 1.277e6), (1.2e6, 1.21e6)]
     code, out, _ = run(
         capsys, "fit-spectrum", "--spectrum", str(paths["spectrum"]),

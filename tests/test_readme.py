@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from quduct.calibration import OCCUPANCY_CSV_HEADER
+from quduct.registry import REGISTRY_HEADER
+from quduct.spectra import SPECTRUM_CSV_HEADER
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -40,3 +44,10 @@ def test_readme_cli_examples_run(tmp_path, child_env):
         )
         assert proc.returncode == 0, (command, proc.stderr)
         assert proc.stderr == "", command
+
+
+def test_readme_csv_section_lists_the_three_headers():
+    section = README.read_text().split("\n## CSV input files\n", 1)[1].split("\n## ", 1)[0]
+    headers = re.findall(r"^\|.*\| `([^`]*)` \|$", section, re.M)
+    assert headers == [",".join(header) for header in
+                       (REGISTRY_HEADER, OCCUPANCY_CSV_HEADER, SPECTRUM_CSV_HEADER)]

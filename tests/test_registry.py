@@ -14,7 +14,7 @@ from quduct.registry import (
     CONTOUR_HEADER,
     DeviceRecord,
     MaskedBlock,
-    RegistryError,
+    REGISTRY_HEADER,
     bundled_registry_path,
     contour_csv,
     contour_table,
@@ -24,6 +24,8 @@ from quduct.registry import (
     load_registry,
     scatter_csv,
 )
+from quduct.calibration import OCCUPANCY_CSV_HEADER, load_occupancy_records
+from quduct.spectra import SPECTRUM_CSV_HEADER, read_spectrum_csv
 
 # throughput = eta * B * D, computed by hand from the tabulated values
 HAND_THROUGHPUTS = {
@@ -60,14 +62,14 @@ def test_malformed_rows_report_line_numbers(tmp_path):
         "B,sideways,0.5,0.5,1000,1,src,\n"
         "C,up,not_a_number,0.5,1000,1,src,\n"
     )
-    with pytest.raises(RegistryError, match="line 3.*line 4"):
+    with pytest.raises(ValueError, match="line 3.*line 4"):
         load_registry(path)
 
 
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,n_add\nA,0.5\n")
-    with pytest.raises(RegistryError, match="header"):
+    with pytest.raises(ValueError, match="header"):
         load_registry(path)
 
 
@@ -78,9 +80,74 @@ def test_duplicates_flagged(tmp_path):
         "A,up,0.5,0.5,1000,1,src,\n"
         "A,up,0.6,0.5,1000,1,src,\n"
     )
-    with pytest.warns(UserWarning, match="duplicate"):
+    with pytest.warns(UserWarning) as caught:
         records = load_registry(path)
     assert len(records) == 2
+    assert [str(w.message) for w in caught] == [f"{path}: duplicate record ('A', 'up')"]
+
+
+# per reader: its header, three good rows, and a bad row with its message
+READERS = {
+    "registry": (load_registry, REGISTRY_HEADER,
+                 ["A,up,0.5,0.5,1000,1,src,", "B,up,0.6,0.5,1000,1,src,", "C,up,0.7,0.5,1000,1,,"],
+                 "D,sideways,0.5,0.5,1000,1,src,",
+                 "direction must be 'up' or 'down', got 'sideways'"),
+    "occupancy": (load_occupancy_records, OCCUPANCY_CSV_HEADER,
+                  ["1000.0,0.21,0.05,microwave", "2000.0,0.3,0.05,optomechanical",
+                   "3000.0,0.4,0.05,microwave"],
+                  "4000.0,0.3,-1.0,microwave", "sigma must be positive"),
+    "spectrum": (read_spectrum_csv, SPECTRUM_CSV_HEADER, ["0.0,1.0", "1.0,2.0", "2.0,1.5"],
+                 "3.0,nan", "3.0,nan is not finite"),
+}
+
+
+def _reader_case(case, header, good, bad, message):
+    """(lines after the header, the error after ``PATH: ``, or None if the file is read)."""
+    n = len(header)
+    short, long = good[1].rsplit(",", 1)[0], good[1] + ",x"
+    return {
+        "short-row": ([good[0], short], f"line 3: expected {n} fields, got {n - 1}"),
+        "long-row": ([good[0], long], f"line 3: expected {n} fields, got {n + 1}"),
+        "blank-line-before-a-bad-row": ([good[0], "", bad], f"line 4: {message}"),
+        "trailing-blank-line": ([good[0], good[1], ""], None),
+        "two-bad-rows": ([bad, good[0], "", short, good[2]],
+                         f"line 2: {message}; line 5: expected {n} fields, got {n - 1}"),
+        # the csv module stops at a field over its size limit
+        "unsplittable-line": ([bad, "1" * 200_000, good[2]],
+                              f"line 2: {message}; line 3: field larger than field limit (131072)"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["short-row", "long-row", "blank-line-before-a-bad-row",
+                                  "trailing-blank-line", "two-bad-rows", "unsplittable-line",
+                                  "wrong-header"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_csv_readers_report_every_bad_line_by_its_physical_number(tmp_path, reader, case):
+    load, header, good, bad, message = READERS[reader]
+    path = tmp_path / f"{reader}.csv"
+    if case == "wrong-header":
+        path.write_text(",".join(header[::-1]) + "\n" + good[0] + "\n")
+        expected = f"{path}: expected header {','.join(header)}, got {header[::-1]}"
+    else:
+        lines, problems = _reader_case(case, header, good, bad, message)
+        path.write_text("\n".join([",".join(header), *lines]) + "\n")
+        if problems is None:
+            loaded = load(path)
+            assert len(loaded.values if reader == "spectrum" else loaded) == 2
+            return
+        expected = f"{path}: {problems}"
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == expected
+
+
+def test_scatter_quotes_a_label_as_csv_writer_does(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text(",".join(REGISTRY_HEADER) + '\n"Lab, A ""v2""",up,0.5,0.4,1000,1,,\n')
+    (record,) = load_registry(path)
+    assert record.label == 'Lab, A "v2"'
+    assert scatter_csv([record]) == ('throughput_hz,n_add,label,direction\r\n'
+                                     '400.0,0.5,"Lab, A ""v2""",up\r\n')
 
 
 def test_scatter_contains_expected_point():
@@ -316,12 +383,14 @@ def test_streaming_contour_table_peaks_below_the_fresh_array_formulation():
 SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1.8e308, -1.8e308,
                   1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 _FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+# text that csv.writer quotes more often than not
+_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()), max_size=6)
 
 
 @st.composite
 def _table_blocks(draw):
-    """Blocks of one row count: a constant, an axis or a fresh array, a fresh
-    float64, float32, int array or list, and sometimes a mask."""
+    """Blocks of one row count: a constant float or text, an axis or a fresh
+    array, a fresh float64, float32, int array or list, and sometimes a mask."""
     n_rows = draw(st.integers(0, 11))
     dtypes = st.sampled_from(["float64", "float32", "int64"])
 
@@ -335,7 +404,8 @@ def _table_blocks(draw):
     axis = fresh()
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
-        entries = [draw(_FLOATS), axis if draw(st.booleans()) else fresh(), fresh()]
+        entries = [draw(st.one_of(_FLOATS, _TEXT)), axis if draw(st.booleans()) else fresh(),
+                   fresh()]
         if draw(st.booleans()):
             keep = draw(hnp.arrays(bool, n_rows))
             blocks.append(MaskedBlock(entries, keep))
@@ -345,9 +415,9 @@ def _table_blocks(draw):
 
 
 @settings(max_examples=150)
-@given(blocks=_table_blocks(), chunk_rows=st.integers(1, 5))
-def test_float_table_matches_csv_writer_on_drawn_tables(blocks, chunk_rows):
-    header = ["c0", "c1", "c2"]
+@given(header=st.lists(_TEXT, min_size=3, max_size=3), blocks=_table_blocks(),
+       chunk_rows=st.integers(1, 5))
+def test_float_table_matches_csv_writer_on_drawn_tables(header, blocks, chunk_rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(registry, "_CHUNK_ROWS", chunk_rows)
         text = "".join(float_table(header, blocks))

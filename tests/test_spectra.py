@@ -1,7 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
 
-from quduct.registry import csv_text
 from quduct.spectra import (
     SPECTRUM_CSV_HEADER,
     ExclusionBands,
@@ -192,7 +193,10 @@ def test_spectrum_csv_round_trip(tmp_path):
 
     spec = _noise_spectrum()
     path = tmp_path / "spectrum.csv"
-    path.write_text(csv_text(SPECTRUM_CSV_HEADER, zip(spec.grid.frequencies(), spec.values)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SPECTRUM_CSV_HEADER)
+        writer.writerows(zip(spec.grid.frequencies().tolist(), spec.values.tolist()))
     again = read_spectrum_csv(path)
     assert again.grid == spec.grid
     assert np.array_equal(again.values, spec.values)
@@ -210,6 +214,21 @@ def test_spectrum_csv_rejects_nonuniform(tmp_path):
         read_spectrum_csv(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0.0,1.0", "1.0,1.0", "3.0,1.0"], "frequency grid is not uniform"),
+    (["0.0,1.0", "1.0,1.0", "1.0,2.0"], "frequencies must be strictly increasing"),
+    (["0.0,1.0", ""], "spectrum needs at least 2 rows"),
+])
+def test_spectrum_csv_names_the_file_of_a_bad_grid(tmp_path, rows, message):
+    from quduct.spectra import read_spectrum_csv
+
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\n".join(["freq_hz,value", *rows]) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("row", ["4.0,nan", "4.0,inf", "nan,1.0"])
 def test_spectrum_csv_names_the_line_of_a_nonfinite_value(tmp_path, row):
     from quduct.spectra import read_spectrum_csv
@@ -220,4 +239,4 @@ def test_spectrum_csv_names_the_line_of_a_nonfinite_value(tmp_path, row):
     path.write_text("freq_hz,value\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError) as info:
         read_spectrum_csv(path)
-    assert str(info.value) == f"{path} line 6: {row} is not finite"
+    assert str(info.value) == f"{path}: line 6: {row} is not finite"
