@@ -2,16 +2,18 @@
 
 Subcommands: noise, sweep, optimize, capacity, contours, filter-analysis,
 fit-spectrum, fit-occupancy, xi-e, compare, validate.  Rates on the
-command line and in all emitted CSV are ordinary frequencies in Hz;
-floats are printed as the shortest decimal that round-trips, so
-identical inputs give byte-identical output.
+command line and in all emitted CSV are ordinary frequencies in Hz, and
+a rate flag's type returns rad/s; floats are printed as the shortest
+decimal that round-trips, so identical inputs give byte-identical output.
 
-:data:`COMMANDS` is the one place a flag, its default and the modes that
-do not read it are declared.  The parser built from it sets no default,
-so a flag counts as given exactly when it is on the command line.
-:func:`_read_flags` records the given flags, fills in the defaults and
-fails on the first given flag that the chosen mode does not read, all
-before the handler runs, so a handler reads ``args`` as plain values.
+:data:`COMMANDS` is the one place a flag, its default, its type and the
+modes that do not read it are declared.  The parser built from it checks
+only the shape of argv: it sets no default and converts nothing, so a
+flag counts as given exactly when it is on the command line.
+:func:`_read_flags` fills in the defaults, fails on the first given flag
+that the chosen mode does not read, then converts every value by its
+flag's type, all before the handler runs, so a handler reads ``args`` as
+finished values.
 
 A handler checks its input and computes every value before it returns
 what it computed: a list of lines, or a table as the CSV chunks of
@@ -23,8 +25,10 @@ filter-analysis writes its ``--trace`` file, and compare its bundle under
 ``--out-dir``, before they return.  A failure is one ``error: <message>``
 line on stderr, and a warning one ``warning: <message>`` line.
 
-Exit status: 0 on success, 1 on validation or evaluation failure,
-2 on usage errors.
+Exit status: 0 on success; 2 only on a malformed argv (an unknown
+subcommand or flag, a missing value or required flag, a value outside a
+flag's choices); 1 when a value fails its flag's type, with one
+``error: FLAG ...`` line, or when validation or evaluation fails.
 """
 
 from __future__ import annotations
@@ -73,69 +77,57 @@ def _write(output, path=None) -> None:
         fh.writelines(output)
 
 
-def _parse_pair(text: str, flag: str):
+def _parse_pair(text: str):
     try:
         lo, hi = map(float, text.split(":"))
     except ValueError:
-        raise ValueError(f"{flag} expects LOW:HIGH, got {text!r}") from None
+        raise ValueError(f"expects LOW:HIGH, got {text!r}") from None
     return lo, hi
 
 
-def _parse_triplet(text: str, flag: str):
-    """``LOW:HIGH:N`` of a grid axis, with finite bounds and N >= 0."""
+def _parse_triplet(text: str, positive: bool = False):
+    """``LOW:HIGH:N`` of a grid axis: finite bounds, positive if ``positive``, and N >= 0."""
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise ValueError(f"{flag} expects LOW:HIGH:N, got {text!r}") from None
+        raise ValueError(f"expects LOW:HIGH:N, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"{flag} bounds must be finite, got {text!r}")
+        raise ValueError(f"bounds must be finite, got {text!r}")
+    if positive and not (lo > 0 and hi > 0):
+        raise ValueError(f"bounds must be positive, got {text!r}")
     if n < 0:
-        raise ValueError(f"{flag} N must be nonnegative, got {text!r}")
+        raise ValueError(f"N must be nonnegative, got {text!r}")
     return lo, hi, n
 
 
 def _levels(text: str) -> list:
-    """Comma-separated ``--levels``; empty items are skipped."""
+    """Comma-separated levels; empty items are skipped."""
     try:
         return [float(x) for x in text.split(",") if x]
     except ValueError:
-        raise ValueError(f"--levels expects comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"expects comma-separated numbers, got {text!r}") from None
 
 
-def _positive_range(text: str, flag: str, convert=float):
-    """``LOW:HIGH`` of a rate axis or bracket, as ``convert`` maps them,
-    failing unless 0 < LOW < HIGH < inf after the mapping."""
-    lo, hi = map(convert, _parse_pair(text, flag))
+def _positive_range(text: str, convert=rate_from_hz):
+    """``LOW:HIGH`` of a rate axis or bracket in Hz as rad/s, or as ``convert``
+    maps it, failing unless 0 < LOW < HIGH < inf after the mapping."""
+    lo, hi = map(convert, _parse_pair(text))
     if not 0.0 < lo < hi < math.inf:  # written so that nan fails
-        raise ValueError(f"{flag} must be finite, positive and increasing, got {text!r}")
+        raise ValueError(f"must be finite, positive and increasing, got {text!r}")
     return lo, hi
 
 
-def _rate_range(text: str, flag: str):
-    """``LOW:HIGH`` in Hz of a rate axis or bracket, as rad/s."""
-    return _positive_range(text, flag, rate_from_hz)
-
-
-def _given_rate(args, flag: str) -> float:
-    """The rate ``flag`` gives in Hz, as rad/s, failing unless that is nonnegative and finite."""
-    rate_hz = getattr(args, _dest(flag))
-    rate = rate_from_hz(rate_hz)
-    if not 0.0 <= rate < math.inf:  # written so that nan fails
-        raise ValueError(f"{flag} must be nonnegative and finite in rad/s, got {rate_hz!r} Hz")
-    return rate
-
-
-def _fixed_rate(text, flag: str, swept: str) -> float:
-    """``flag``'s rate in Hz, held fixed while ``swept`` runs, as rad/s."""
-    if text is None:
-        raise ValueError(f"sweeping {swept} needs {flag}")
+def _rate(text: str, positive: bool = False) -> float:
+    """A rate in Hz, as rad/s, that must be finite and nonnegative, or positive if ``positive``."""
     try:
         rate = rate_from_hz(float(text))
     except ValueError:
         rate = math.nan
-    if not 0.0 < rate < math.inf:  # written so that nan fails
-        raise ValueError(f"{flag} must be finite and positive, got {text!r}")
+    above_zero = rate > 0.0 if positive else rate >= 0.0  # nan fails either
+    if not (above_zero and rate < math.inf):
+        raise ValueError(f"must be finite and {'positive' if positive else 'nonnegative'}, "
+                         f"got {text!r}")
     return rate
 
 
@@ -162,8 +154,8 @@ def _resolve_op(args, cfg) -> OperatingPoint:
     if op is None and (args.gamma_e_hz is None or args.gamma_o_hz is None):
         raise ValueError("give --op NAME or both --gamma-e-hz and --gamma-o-hz")
     return OperatingPoint(
-        gamma_e=op.gamma_e if args.gamma_e_hz is None else _given_rate(args, "--gamma-e-hz"),
-        gamma_o=op.gamma_o if args.gamma_o_hz is None else _given_rate(args, "--gamma-o-hz"),
+        gamma_e=op.gamma_e if args.gamma_e_hz is None else args.gamma_e_hz,
+        gamma_o=op.gamma_o if args.gamma_o_hz is None else args.gamma_o_hz,
         duty=args.duty if args.duty is not None else (op.duty if op else 1.0),
     )
 
@@ -188,15 +180,13 @@ def _cmd_noise(args):
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     model = _model_for(args.direction, args.model)
-    gamma_e = gamma_o = _rate_range(args.range_hz, "--range-hz")
-    if args.variable == "gamma-e":
-        gamma_o = _fixed_rate(args.gamma_o_hz, "--gamma-o-hz", "gamma_e")
-    elif args.variable == "gamma-o":
-        gamma_e = _fixed_rate(args.gamma_e_hz, "--gamma-e-hz", "gamma_o")
-    else:
-        if args.range2_hz is None:
-            raise ValueError("sweeping both needs --range2-hz for gamma_o")
-        gamma_o = _rate_range(args.range2_hz, "--range2-hz")
+    gamma_e, gamma_o, needs = {
+        "gamma-e": (args.range_hz, args.gamma_o_hz, "sweeping gamma_e needs --gamma-o-hz"),
+        "gamma-o": (args.gamma_e_hz, args.range_hz, "sweeping gamma_o needs --gamma-e-hz"),
+        "both": (args.range_hz, args.range2_hz, "sweeping both needs --range2-hz for gamma_o"),
+    }[args.variable]
+    if gamma_e is None or gamma_o is None:
+        raise ValueError(needs)
     spec = optimize.SweepSpec(
         gamma_e=gamma_e,
         gamma_o=gamma_o,
@@ -219,22 +209,25 @@ def _cmd_sweep(args):
 
 
 def _cmd_optimize(args):
+    # the downconversion search reaches gamma_e = ratio * gamma_o at both high ends
+    (_, ratio), (_, gamma_o) = args.ratio_bracket, args.bracket_hz
+    if args.direction == "down" and not math.isfinite(ratio * gamma_o):
+        raise ValueError(f"--ratio-bracket high end {ratio!r} times the --bracket-hz "
+                         f"high end {gamma_o!r} rad/s is not finite")
     cfg = load_config(args.config)
-    bracket = _rate_range(args.bracket_hz, "--bracket-hz")
     if args.direction == "up":
         if args.gamma_o_hz is None:
             raise ValueError("upconversion optimization needs --gamma-o-hz")
         model = _model_for("up", args.model)
         result = optimize.optimize_up(
-            cfg.device, cfg.environment, gamma_o_fixed=_given_rate(args, "--gamma-o-hz"),
-            bracket=bracket, model=model, duty=args.duty,
+            cfg.device, cfg.environment, gamma_o_fixed=args.gamma_o_hz,
+            bracket=args.bracket_hz, model=model, duty=args.duty,
         )
     else:
         model = _model_for("down", args.model)
         result = optimize.optimize_down(
-            cfg.device, cfg.environment, gamma_o_bracket=bracket,
-            ratio_bracket=_positive_range(args.ratio_bracket, "--ratio-bracket"),
-            model=model, duty=args.duty,
+            cfg.device, cfg.environment, gamma_o_bracket=args.bracket_hz,
+            ratio_bracket=args.ratio_bracket, model=model, duty=args.duty,
         )
     budget = result.budget
     return [
@@ -254,28 +247,24 @@ def _cmd_optimize(args):
 
 
 def _grid_mode(args) -> bool:
-    return bool(args.grid_eta or args.grid_throughput_hz)
+    return args.grid_eta is not None or args.grid_throughput_hz is not None
 
 
 def _cmd_capacity(args):
     if _grid_mode(args):
         if args.grid_n_add is None:
             raise ValueError("grid mode needs --grid-n-add LOW:HIGH:N")
-        n_values = np.linspace(*_parse_triplet(args.grid_n_add, "--grid-n-add"))
+        n_values = np.linspace(*args.grid_n_add)
         # one call over the whole grid checks both axes, n_add even when
         # there are no rows, before the first row is formatted; each row
         # is one block, with n_values formatted once for all of them
-        if args.grid_eta:
-            etas = np.linspace(*_parse_triplet(args.grid_eta, "--grid-eta"))
+        if args.grid_eta is not None:
+            etas = np.linspace(*args.grid_eta)
             caps = cap_ub_grid(etas[:, None], n_values)
             return registry.float_table(["eta", "n_add", "c_ub"], (
                 [eta, n_values, row] for eta, row in zip(etas.tolist(), caps)
             ))
-        lo, hi, n = _parse_triplet(args.grid_throughput_hz, "--grid-throughput-hz")
-        if not (lo > 0 and hi > 0):
-            raise ValueError(f"--grid-throughput-hz bounds must be positive, "
-                             f"got {args.grid_throughput_hz!r}")
-        thetas = np.geomspace(lo, hi, n)
+        thetas = np.geomspace(*args.grid_throughput_hz)
         caps = cap_small_eta(n_values, thetas[:, None])
         return registry.float_table(["throughput_hz", "n_add", "cap_qubits_per_s", "form"], (
             [theta, n_values, row, "small-eta"] for theta, row in zip(thetas.tolist(), caps)
@@ -301,12 +290,7 @@ def _cmd_capacity(args):
 
 
 def _cmd_contours(args):
-    return registry.contour_table(
-        _levels(args.levels),
-        _parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
-        _parse_pair(args.n_add_range, "--n-add-range"),
-        args.n,
-    )
+    return registry.contour_table(args.levels, args.throughput_range_hz, args.n_add_range, args.n)
 
 
 def _cmd_filter_analysis(args):
@@ -315,11 +299,8 @@ def _cmd_filter_analysis(args):
     else:
         if args.linewidth_hz is None:
             raise ValueError("give --linewidth-hz or --preset paper")
-        spec = filters.FilterSpec(
-            linewidth_hz=args.linewidth_hz,
-            center_hz=args.center_hz,
-            notches=tuple(_parse_pair(notch, "--notch") for notch in args.notch),
-        )
+        spec = filters.FilterSpec(linewidth_hz=args.linewidth_hz, center_hz=args.center_hz,
+                                  notches=args.notch)
     t_rep = args.t_rep_mult / spec.gamma_t if args.t_rep_s is None else args.t_rep_s
     filters.check_t_rep(t_rep)  # before the FFT, which takes most of the run
     # one response serves both the report and the trace
@@ -353,7 +334,7 @@ def _cmd_fit_spectrum(args):
     from . import spectra
 
     spectrum = spectra.read_spectrum_csv(args.spectrum)
-    exclude = spectra.ExclusionBands([_parse_pair(b, "--exclude") for b in args.exclude])
+    exclude = spectra.ExclusionBands(args.exclude)
     fit = spectra.fit_lorentzian(spectrum, exclude)
     lines = [
         *_floats(
@@ -416,9 +397,8 @@ def _cmd_compare(args):
                 notes="computed from config",
             ))
     written = registry.emit_comparison(
-        records, _levels(args.levels), args.out_dir,
-        direction=args.direction, live_points=live,
-        throughput_range_hz=_parse_pair(args.throughput_range_hz, "--throughput-range-hz"),
+        records, args.levels, args.out_dir, direction=args.direction,
+        live_points=live, throughput_range_hz=args.throughput_range_hz,
     )
     return [f"{name}: {written[name]}" for name in sorted(written)]
 
@@ -427,10 +407,10 @@ DIRECTIONS = ["up", "down"]
 MODELS = ["ideal", "lossy", "combined"]
 
 # Per subcommand: its handler, its help, its flags and its modes.  A flag
-# maps to its argparse keywords, where "default" is the value filled in
-# when the flag is not given.  A mode is (applies to the filled args, the
-# flags it does not read, why); a given flag that an applying mode does
-# not read fails as "error: FLAG WHY", in the order listed here.
+# maps to its argparse keywords; "default" is filled in when it is not
+# given, and "type" converts the value it ends up with.  A mode is (applies
+# to the filled args, the flags it does not read, why); a given flag that an
+# applying mode does not read fails as "error: FLAG WHY", in listed order.
 COMMANDS = {
     "validate": (_cmd_validate, "check a config against the device invariants", {
         "--config": dict(required=True),
@@ -440,8 +420,8 @@ COMMANDS = {
         "--direction": dict(choices=DIRECTIONS, required=True),
         "--model": dict(choices=MODELS, default="lossy"),
         "--op": dict(help="operating point name from the config"),
-        "--gamma-e-hz": dict(type=float),
-        "--gamma-o-hz": dict(type=float),
+        "--gamma-e-hz": dict(type=_rate),
+        "--gamma-o-hz": dict(type=_rate),
         # no default: without --duty the operating point's duty applies
         "--duty": dict(type=float),
         "--out": {},
@@ -450,11 +430,11 @@ COMMANDS = {
         "--config": dict(required=True),
         "--direction": dict(choices=DIRECTIONS, required=True),
         "--variable": dict(choices=["gamma-e", "gamma-o", "both"], default="gamma-e"),
-        "--range-hz": dict(required=True, help="LOW:HIGH for the swept rate"),
-        "--range2-hz": dict(help="LOW:HIGH for gamma_o when sweeping both"),
+        "--range-hz": dict(type=_positive_range, required=True, help="LOW:HIGH for the swept rate"),
+        "--range2-hz": dict(type=_positive_range, help="LOW:HIGH for gamma_o when sweeping both"),
         "--n": dict(type=int, default=50),
-        "--gamma-e-hz": {},
-        "--gamma-o-hz": {},
+        "--gamma-e-hz": dict(type=lambda text: _rate(text, positive=True)),
+        "--gamma-o-hz": dict(type=lambda text: _rate(text, positive=True)),
         "--model": dict(choices=MODELS, default="lossy"),
         "--duty": dict(type=float, default=1.0),
         "--out": {},
@@ -469,9 +449,9 @@ COMMANDS = {
     "optimize": (_cmd_optimize, "find the noise-optimal operating point", {
         "--config": dict(required=True),
         "--direction": dict(choices=DIRECTIONS, required=True),
-        "--gamma-o-hz": dict(type=float),
-        "--bracket-hz": dict(default="10:1e7"),
-        "--ratio-bracket": dict(default="1e-3:1e3"),
+        "--gamma-o-hz": dict(type=_rate),
+        "--bracket-hz": dict(type=_positive_range, default="10:1e7"),
+        "--ratio-bracket": dict(type=lambda text: _positive_range(text, float), default="1e-3:1e3"),
         "--model": dict(choices=MODELS, default="lossy"),
         "--duty": dict(type=float, default=1.0),
         "--out": {},
@@ -485,22 +465,24 @@ COMMANDS = {
         "--bandwidth-hz": dict(type=float),
         "--duty": dict(type=float, default=1.0),
         "--form": dict(choices=["closed", "small-eta", "quadrature"], default="closed"),
-        "--grid-eta": dict(help="LOW:HIGH:N (linear)"),
-        "--grid-n-add": dict(help="LOW:HIGH:N (linear)"),
-        "--grid-throughput-hz": dict(help="LOW:HIGH:N (log spaced)"),
+        "--grid-eta": dict(type=_parse_triplet, help="LOW:HIGH:N (linear)"),
+        "--grid-n-add": dict(type=_parse_triplet, help="LOW:HIGH:N (linear)"),
+        "--grid-throughput-hz": dict(type=lambda text: _parse_triplet(text, positive=True),
+                                     help="LOW:HIGH:N (log spaced)"),
         "--out": {},
     }, (
         (_grid_mode, ("--eta", "--n-add", "--bandwidth-hz", "--duty", "--form"),
          "is not used in grid mode"),
-        (lambda a: a.grid_eta, ("--grid-throughput-hz",), "cannot be combined with --grid-eta"),
+        (lambda a: a.grid_eta is not None, ("--grid-throughput-hz",),
+         "cannot be combined with --grid-eta"),
         (lambda a: not _grid_mode(a), ("--grid-n-add",), "is not used in point mode"),
         (lambda a: not _grid_mode(a) and a.bandwidth_hz is None, ("--duty", "--form"),
          "is not used without --bandwidth-hz"),
     )),
     "contours": (_cmd_contours, "iso-capacity contour polylines", {
-        "--levels": dict(required=True, help="comma-separated qubits/s levels"),
-        "--throughput-range-hz": dict(default="0.01:100000"),
-        "--n-add-range": dict(default="0.001:0.999"),
+        "--levels": dict(type=_levels, required=True, help="comma-separated qubits/s levels"),
+        "--throughput-range-hz": dict(type=_parse_pair, default="0.01:100000"),
+        "--n-add-range": dict(type=_parse_pair, default="0.001:0.999"),
         "--n": dict(type=int, default=512),
         "--out": {},
     }, ()),
@@ -508,8 +490,10 @@ COMMANDS = {
         "--preset": dict(choices=["paper"]),
         "--linewidth-hz": dict(type=float),
         "--center-hz": dict(type=float, default=0.0),
-        "--notch": dict(action="append", default=(), help="LOW:HIGH in Hz, repeatable"),
-        "--t-rep-mult": dict(type=float, default=3.0, help="repetition time in units of 1/Gamma_T"),
+        "--notch": dict(action="append", type=_parse_pair, default=(),
+                        help="LOW:HIGH in Hz, repeatable"),
+        "--t-rep-mult": dict(type=float, default=filters.PRESET_T_REP_MULTIPLE,
+                             help="repetition time in units of 1/Gamma_T"),
         "--t-rep-s": dict(type=float),
         "--span-hz": dict(type=float),
         "--n-points": dict(type=int, default=2**20),
@@ -523,7 +507,8 @@ COMMANDS = {
     "fit-spectrum": (
         _cmd_fit_spectrum, "fit floor + Lorentzian to a spectrum CSV, honouring exclusion bands", {
             "--spectrum": dict(required=True, help="CSV: freq_hz,value"),
-            "--exclude": dict(action="append", default=(), help="LOW:HIGH band in Hz, repeatable"),
+            "--exclude": dict(action="append", type=_parse_pair, default=(),
+                              help="LOW:HIGH band in Hz, repeatable"),
             "--efficiency": dict(help="efficiency spectrum CSV; adds the efficiency-weighted "
                                  "average of the fitted spectrum over unexcluded points"),
             "--out": {},
@@ -542,10 +527,11 @@ COMMANDS = {
     "compare": (_cmd_compare, "emit registry scatter plus contour bundle", {
         "--registry": dict(default="bundled", help="'bundled' or a CSV path"),
         "--direction": dict(choices=DIRECTIONS, required=True),
-        "--levels": dict(default="", help="comma-separated contour levels in qubits/s"),
+        "--levels": dict(type=_levels, default="",
+                         help="comma-separated contour levels in qubits/s"),
         "--out-dir": dict(required=True),
         "--config": dict(help="compute live points from this config"),
-        "--throughput-range-hz": dict(default="0.01:100000"),
+        "--throughput-range-hz": dict(type=_parse_pair, default="0.01:100000"),
     }, ()),
 }
 
@@ -563,17 +549,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, summary, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, keywords in flags.items():
+            keywords = {key: value for key, value in keywords.items() if key != "type"}
             p.add_argument(flag, **{**keywords, "default": None})
     return parser
 
 
 def _read_flags(args, flags, modes) -> None:
-    """Fill in the defaults of the ``flags`` not given, then fail on the
-    first given flag that an applying mode does not read.
+    """Fill in the defaults of the ``flags`` not given, fail on the first
+    given flag that an applying mode does not read, then convert every
+    value, or each item of an ``append`` flag, by the flag's ``type``.
 
-    A flag is given when its value is not None, as the parser sets no
-    default.  Modes apply on the filled values, because a default can
-    choose one: sweep without ``--variable`` is in the gamma-e mode.
+    Modes apply on the filled values, because a default can choose one:
+    sweep without ``--variable`` is in the gamma-e mode.
     """
     given = {flag for flag in flags if getattr(args, _dest(flag)) is not None}
     for flag in flags.keys() - given:
@@ -582,6 +569,14 @@ def _read_flags(args, flags, modes) -> None:
         for flag in unread if applies(args) else ():
             if flag in given:
                 raise ValueError(f"{flag} {reason}")
+    for flag, keywords in flags.items():
+        convert, value = keywords.get("type"), getattr(args, _dest(flag))
+        try:
+            if convert is not None and value is not None:
+                each = keywords.get("action") == "append"
+                setattr(args, _dest(flag), [*map(convert, value)] if each else convert(value))
+        except ValueError as exc:
+            raise ValueError(f"{flag} {exc}") from None
 
 
 def cli_dispatch(argv) -> int:

@@ -104,10 +104,8 @@ def test_noise_row(capsys):
     assert float(fields[-1]) > 0
 
 
-# typed, and as the message prints it: 1e308 Hz is finite, but not in rad/s
-@pytest.mark.parametrize("value, printed", [
-    ("inf", "inf"), ("nan", "nan"), ("-5", "-5.0"), ("1e308", "1e+308"),
-])
+# 1e308 Hz is finite, but not in rad/s
+@pytest.mark.parametrize("value", ["inf", "nan", "-5", "1e308"])
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -119,12 +117,12 @@ def test_noise_row(capsys):
     ],
     ids=["noise-gamma-e", "noise-gamma-o", "optimize-gamma-o"],
 )
-def test_a_bad_rate_flag_is_rejected_by_name(capsys, argv, flag, value, printed):
+def test_a_bad_rate_flag_is_rejected_by_name(capsys, argv, flag, value):
     argv = [arg.format(value) for arg in argv]
     code, out, err = run(capsys, *argv, "--config", EXAMPLE_CFG)
     assert code == 1
     assert out == ""
-    assert err == f"error: {flag} must be nonnegative and finite in rad/s, got {printed} Hz\n"
+    assert err == f"error: {flag} must be finite and nonnegative, got {value!r}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,8 +342,14 @@ def test_a_short_csv_row_fails_naming_the_file_and_line(tmp_path, capsys, monkey
          "--grid-eta expects LOW:HIGH:N, got '0:0.5:1.5'"),
         (("capacity", "--grid-eta", "0:0.5:3", "--grid-n-add", "0:y:2"),
          "--grid-n-add expects LOW:HIGH:N, got '0:y:2'"),
+        # a grid flag that is given selects grid mode, even when it is empty
+        (("capacity", "--grid-eta", "", "--grid-n-add", "0:1:2"),
+         "--grid-eta expects LOW:HIGH:N, got ''"),
+        (("capacity", "--grid-throughput-hz", "", "--grid-n-add", "0:1:2"),
+         "--grid-throughput-hz expects LOW:HIGH:N, got ''"),
     ],
-    ids=["range-hz", "n-add-range", "grid-eta", "grid-n-add"],
+    ids=["range-hz", "n-add-range", "grid-eta", "grid-n-add", "grid-eta-empty",
+         "grid-throughput-hz-empty"],
 )
 def test_unparsable_range_fails_naming_its_flag(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -438,10 +442,11 @@ def test_capacity_bad_n_add_writes_nothing(capsys, argv):
          "--form"),
         (("--eta", "0.4", "--n-add", "0.5", "--duty", "0.5"), "--duty"),
         (("--eta", "0.4", "--n-add", "0.5", "--form", "quadrature"), "--form"),
+        (("--grid-eta", "", "--eta", "0.5", "--n-add", "0.5"), "--eta"),
     ],
     ids=["both-grids", "grid-eta", "grid-n-add", "grid-bandwidth", "point-grid-n-add",
          "eta-grid-duty", "eta-grid-form", "throughput-grid-duty", "throughput-grid-form",
-         "point-no-bandwidth-duty", "point-no-bandwidth-form"],
+         "point-no-bandwidth-duty", "point-no-bandwidth-form", "empty-grid-eta"],
 )
 def test_capacity_rejects_flags_its_mode_ignores(capsys, argv, flag):
     code, out, err = run(capsys, "capacity", *argv)
@@ -923,6 +928,25 @@ def test_optimize_rejects_a_bad_bracket_by_name(capsys, monkeypatch, mode, flag,
     assert err == f"error: {flag} must be finite, positive and increasing, got {text!r}\n"
 
 
+@pytest.mark.parametrize("argv, ratio, gamma_o_hz", [
+    (("--ratio-bracket", "1e-3:1e308"), 1e308, 1e7),
+    (("--bracket-hz", "10:1e300", "--ratio-bracket", "1e-3:1e10"), 1e10, 1e300),
+], ids=["ratio", "bracket"])
+def test_optimize_rejects_an_overflowing_ratio_bracket_by_name(capsys, monkeypatch, argv,
+                                                               ratio, gamma_o_hz):
+    # each bound is finite, but gamma_e = ratio * gamma_o at the two high ends is not
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the noise model ran before the ratio bracket was checked")
+
+    monkeypatch.setattr(noise, "terms", not_reached)
+    monkeypatch.setattr(noise, "evaluate", not_reached)
+    code, out, err = run(capsys, "optimize", "--config", EXAMPLE_CFG, "--direction", "down", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: --ratio-bracket high end {ratio!r} times the --bracket-hz "
+                   f"high end {rate_from_hz(gamma_o_hz)!r} rad/s is not finite\n")
+
+
 @pytest.mark.parametrize(
     "rates, message",
     [
@@ -1038,6 +1062,53 @@ def test_flags_a_mode_leaves_unread_have_no_parser_default():
                     checked.add((name, flag))
     assert checked == unread
     assert len(unread) == 16
+
+
+def test_the_parser_converts_nothing_and_sets_no_default():
+    (subparsers,) = [action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions[1:]:  # after --help
+            assert (action.type, action.default) == (None, None), (name, action.dest)
+
+
+# The least argv the parser accepts for each subcommand with a typed flag,
+# and, for a flag that its mode does not read, flags choosing one that does.
+LEAST_ARGV = {
+    "noise": ("--config", EXAMPLE_CFG, "--direction", "up"),
+    "sweep": ("--config", EXAMPLE_CFG, "--direction", "up", "--range-hz", "1:2"),
+    "optimize": ("--config", EXAMPLE_CFG, "--direction", "up"),
+    "capacity": (),
+    "contours": ("--levels", "1"),
+    "filter-analysis": (),
+    "fit-spectrum": ("--spectrum", "spectrum.csv"),
+    "xi-e": tuple(arg for name in cli.calibration.READOUT_FACTORS
+                  for arg in ("--" + name.replace("_", "-"), "1")),
+    "compare": ("--direction", "up", "--out-dir", "bundle"),
+}
+READING_MODE = {
+    ("sweep", "--gamma-e-hz"): ("--variable", "gamma-o"),
+    ("sweep", "--range2-hz"): ("--variable", "both"),
+    ("optimize", "--ratio-bracket"): ("--direction", "down"),
+    ("capacity", "--duty"): ("--bandwidth-hz", "1"),
+    ("capacity", "--grid-n-add"): ("--grid-eta", "0:1:2"),
+}
+TYPED_FLAGS = [(name, flag) for name, (_, _, flags, _) in cli.COMMANDS.items()
+               for flag, keywords in flags.items() if "type" in keywords]
+
+
+@pytest.mark.parametrize("name, flag", TYPED_FLAGS, ids=[name + flag for name, flag in TYPED_FLAGS])
+def test_every_typed_flag_rejects_text_by_name(tmp_path, capsys, monkeypatch, name, flag):
+    monkeypatch.chdir(tmp_path)
+    # a flag given twice takes its last value, so x replaces a required one
+    argv = (name, *LEAST_ARGV[name], *READING_MODE.get((name, flag), ()), flag, "x")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    # the value failed its type, not a mode check
+    assert all(err != f"error: {flag} {why}\n" for _, _, why in cli.COMMANDS[name][3])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_bundle(tmp_path, capsys):
