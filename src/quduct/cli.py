@@ -109,6 +109,14 @@ def _levels(text: str) -> list:
         raise ValueError(f"expects comma-separated numbers, got {text!r}") from None
 
 
+def _count(text: str, least: int) -> int:
+    """A whole number of samples, at least ``least``."""
+    count = int(text)
+    if count < least:
+        raise ValueError(f"must be at least {least}, got {text!r}")
+    return count
+
+
 def _positive_range(text: str, convert=rate_from_hz):
     """``LOW:HIGH`` of a rate axis or bracket in Hz as rad/s, or as ``convert``
     maps it, failing unless 0 < LOW < HIGH < inf after the mapping."""
@@ -294,21 +302,24 @@ def _cmd_contours(args):
 
 
 def _cmd_filter_analysis(args):
+    grid = dict(span_hz=args.span_hz, n_points=args.n_points)
     if args.preset == "paper":
-        spec = filters.tuned_preset(span_hz=args.span_hz, n_points=args.n_points)
+        spec = filters.tuned_preset()
+        filters.check_trace_grid(spec, **grid)  # a preset's grid fails before its t_rep
     else:
         if args.linewidth_hz is None:
             raise ValueError("give --linewidth-hz or --preset paper")
         spec = filters.FilterSpec(linewidth_hz=args.linewidth_hz, center_hz=args.center_hz,
                                   notches=args.notch)
     t_rep = args.t_rep_mult / spec.gamma_t if args.t_rep_s is None else args.t_rep_s
-    filters.check_t_rep(t_rep)  # before the FFT, which takes most of the run
-    # one response serves both the report and the trace
-    response = filters.impulse_response(spec, span_hz=args.span_hz, n_points=args.n_points)
-    report = filters.filter_report(response, t_rep)
+    filters.check_t_rep(t_rep)
+    # --span-hz and --n-points shape only the trace, but are checked in every mode
+    filters.check_trace_grid(spec, **grid)
+    report = filters.analyze_filter(spec, t_rep)
     summary = (report.eta_notch, report.eta_temporal, report.eta_total,
                report.tail_noise_photons, report.t_rep_s)
     if args.trace:
+        response = filters.impulse_response(spec, **grid)
         # one block, which the writer formats a fixed number of rows at a time
         trace = [[response.times_s, response.energy_density]]
         _write(registry.float_table(["t_s", "energy_density"], trace), args.trace)
@@ -432,7 +443,7 @@ COMMANDS = {
         "--variable": dict(choices=["gamma-e", "gamma-o", "both"], default="gamma-e"),
         "--range-hz": dict(type=_positive_range, required=True, help="LOW:HIGH for the swept rate"),
         "--range2-hz": dict(type=_positive_range, help="LOW:HIGH for gamma_o when sweeping both"),
-        "--n": dict(type=int, default=50),
+        "--n": dict(type=lambda text: _count(text, 1), default=50),
         "--gamma-e-hz": dict(type=lambda text: _rate(text, positive=True)),
         "--gamma-o-hz": dict(type=lambda text: _rate(text, positive=True)),
         "--model": dict(choices=MODELS, default="lossy"),
@@ -483,7 +494,7 @@ COMMANDS = {
         "--levels": dict(type=_levels, required=True, help="comma-separated qubits/s levels"),
         "--throughput-range-hz": dict(type=_parse_pair, default="0.01:100000"),
         "--n-add-range": dict(type=_parse_pair, default="0.001:0.999"),
-        "--n": dict(type=int, default=512),
+        "--n": dict(type=lambda text: _count(text, 2), default=512),
         "--out": {},
     }, ()),
     "filter-analysis": (_cmd_filter_analysis, "notched-filter transmission and ringing", {

@@ -1,15 +1,24 @@
 """Time-domain behaviour of Lorentzian and notched-Lorentzian output filters.
 
 A fast input pulse (much shorter than the filter response time) exits
-the filter as the filter's impulse response, so the analysis reduces to
-an inverse DFT of the amplitude transfer function.  Notches are ideal
-brick-wall zeros.  Energies are normalised so the un-notched filter
-transmits exactly one unit, which makes the spectral transmission of the
-notched filter directly readable as an efficiency.
+the filter as the filter's impulse response h(t), the inverse Fourier
+transform of the amplitude transfer function H(f) = 1 / (1 + 2if/gamma),
+with f measured from the filter center and gamma the linewidth, zeroed
+inside every brick-wall notch.  Energies are normalised so the un-notched
+filter transmits exactly one unit, which makes the spectral transmission
+of the notched filter directly readable as an efficiency.
+
+:func:`analyze_filter` reports from this continuous model, which
+:mod:`quduct.notched` evaluates: sums of arctangents for the spectral
+transmission and the pre-window energy, the un-notched e^-Gamma_T t in
+closed form, and quadrature over the notches for the rest.
 
 Brick-wall notches make the response non-causal; energy appearing at
 negative times is reported separately as pre-window energy rather than
 folded into any efficiency.
+
+:func:`impulse_response` samples the same response on a DFT grid, for
+the time-domain trace only.
 """
 
 from __future__ import annotations
@@ -99,16 +108,42 @@ class FilterReport:
     t_rep_s: float
 
 
-def _checked_span(linewidth_hz: float, span_hz: float | None, n_points: int) -> float:
-    """The analysis span in Hz, 300 linewidths by default, after checking
-    that it is finite, covers at least 50 linewidths and ``n_points`` is a power of two."""
-    span = 300.0 * linewidth_hz if span_hz is None else float(span_hz)
+def check_trace_grid(spec: FilterSpec, span_hz: float | None = None,
+                     n_points: int = 2**20) -> float:
+    """The span in Hz of the :func:`impulse_response` grid, 300 linewidths
+    by default, after every check that grid needs.
+
+    The span must be finite and cover at least 50 linewidths, ``n_points``
+    must be a power of two of at least 2**14, every notch must lie inside
+    the span and hold at least 16 grid points, and the response must have
+    decayed within the DFT window T = n_points / span: with
+    aT = Gamma_T T, the periodised exp(-Gamma_T t) puts
+    (exp(-0.49 aT) - exp(-0.51 aT)) / (1 - exp(-aT)) of its energy within
+    0.01 T of |t| = T/2, rejected above 1e-6; an inverse DFT's share
+    decides alike over 50 to 2e5 linewidths at 2**14 to 2**18 points, and
+    agrees within 1.3e-3 where it is at least 1e-9.  Nothing is allocated.
+    """
+    span = 300.0 * spec.linewidth_hz if span_hz is None else float(span_hz)
     if not math.isfinite(span):
         raise ValueError(f"span_hz must be finite, got {span}")
-    if span < MIN_SPAN_LINEWIDTHS * linewidth_hz:
+    if span < MIN_SPAN_LINEWIDTHS * spec.linewidth_hz:
         raise ValueError(f"span {span:.4g} Hz is below {MIN_SPAN_LINEWIDTHS} linewidths")
     if n_points < MIN_POINTS or (n_points & (n_points - 1)) != 0:
         raise ValueError(f"n_points must be a power of two >= {MIN_POINTS}")
+    df = span / n_points
+    for low, high in spec.notches:
+        lo, hi = low - spec.center_hz, high - spec.center_hz
+        if lo < -span / 2.0 or hi > span / 2.0:
+            raise ValueError(f"notch ({low}, {high}) Hz lies outside the span")
+        if (hi - lo) / df < MIN_NOTCH_SAMPLES:
+            raise ValueError(
+                f"notch ({low}, {high}) Hz spans fewer than "
+                f"{MIN_NOTCH_SAMPLES} grid points; raise n_points or shrink the span"
+            )
+    a_t = spec.gamma_t * n_points / span
+    if (math.exp(-0.49 * a_t) - math.exp(-0.51 * a_t)) / -math.expm1(-a_t) > 1e-6:
+        raise ValueError("response has not decayed within the DFT window; "
+                         "increase span or n_points")
     return span
 
 
@@ -120,17 +155,9 @@ def _notch_bins(spec: FilterSpec, span: float, n_points: int) -> list:
     that run is untouched.
     """
     df = span / n_points
-    half_span = span / 2.0
     bins = []
     for low, high in spec.notches:
         lo, hi = low - spec.center_hz, high - spec.center_hz
-        if lo < -half_span or hi > half_span:
-            raise ValueError(f"notch ({low}, {high}) Hz lies outside the span")
-        if (hi - lo) / df < MIN_NOTCH_SAMPLES:
-            raise ValueError(
-                f"notch ({low}, {high}) Hz spans fewer than "
-                f"{MIN_NOTCH_SAMPLES} grid points; raise n_points or shrink the span"
-            )
         # the run has one spare bin at each end, whose coverage clips to 0
         first = max(math.floor(lo / df - 0.5) - 1 + n_points // 2, 0)
         stop = min(math.ceil(hi / df + 0.5) + 2 + n_points // 2, n_points)
@@ -149,30 +176,25 @@ def impulse_response(
     """Inverse-DFT the (possibly notched) amplitude transfer function.
 
     The amplitude response is a complex one-pole Lorentzian whose power
-    FWHM is ``spec.linewidth_hz``, zeroed inside every notch.  Span must
-    cover at least 50 linewidths and each notch must contain at least 16
-    grid points, otherwise the discretisation cannot be trusted.  The
-    default span of 300 linewidths at 2**20 points keeps every report
-    field stable to better than 1e-3 under grid doubling.
+    FWHM is ``spec.linewidth_hz``, zeroed inside every notch, after the
+    checks of :func:`check_trace_grid`.  The grid truncates the spectrum to
+    the span and samples the notch edges.  Measured against
+    :func:`analyze_filter` at t_rep = 3 / Gamma_T, with the window sums
+    taken from the trace, the default 300 linewidths at 2**20 points put the
+    un-notched in-window energy 2.0e-4 low, its tail 1.1e-4 high and 9.0e-5
+    of its energy at negative times; on the tuned preset eta_notch is
+    1.3e-4 low, the in-window energy 2.3e-4 low and the tail 8.5e-5 high.
+    Every field lies within 2.4e-4 of the report, and doubling n_points
+    does not shrink that error, which the span sets.
 
     One inverse DFT, in place on a DFT-order buffer, gives the notched
     response, divided by the un-notched energy by Parseval's theorem,
     sum |h_f|^2 / n_points (within 3e-15 of an inverse DFT's sum at 2**14
-    to 2**20 points).  An undecayed response wraps around the window
-    T = n_points / span: with aT = Gamma_T T, the periodised exp(-Gamma_T t)
-    puts (exp(-0.49 aT) - exp(-0.51 aT)) / (1 - exp(-aT)) of its energy
-    within 0.01 T of |t| = T/2, rejected above 1e-6; an inverse DFT's share
-    decides alike over 50 to 2e5 linewidths at 2**14 to 2**18 points, and
-    agrees within 1.3e-3 where it is at least 1e-9.  Both checks precede any
-    grid; the memory peak is the buffer plus numpy's FFT plan and scratch,
-    16 + 32 MB at 2**20 points.
+    to 2**20 points).  The memory peak is the buffer plus numpy's FFT plan
+    and scratch, 16 + 32 MB at 2**20 points.
     """
-    span = _checked_span(spec.linewidth_hz, span_hz, n_points)
+    span = check_trace_grid(spec, span_hz, n_points)
     notch_bins = _notch_bins(spec, span, n_points)
-    a_t = spec.gamma_t * n_points / span
-    if (math.exp(-0.49 * a_t) - math.exp(-0.51 * a_t)) / -math.expm1(-a_t) > 1e-6:
-        raise ValueError("response has not decayed within the DFT window; "
-                         "increase span or n_points")
     # detuning of each DFT-order bin from the filter center, and the complex
     # one-pole Lorentzian on it; the carrier phase is irrelevant to |h|^2
     f = np.fft.ifftshift(np.arange(n_points) - n_points // 2) * (span / n_points)
@@ -207,67 +229,57 @@ def check_t_rep(t_rep_s: float) -> None:
         raise ValueError(f"repetition time t_rep_s must be positive and finite, got {t_rep_s}")
 
 
-def filter_report(response: ImpulseResponse, t_rep_s: float) -> FilterReport:
-    """Spectral, temporal, and leakage figures of ``response`` at ``t_rep_s``.
+
+def analyze_filter(spec: FilterSpec, t_rep_s: float | None = None) -> FilterReport:
+    """Spectral, temporal, and leakage figures of ``spec`` at ``t_rep_s``,
+    by default 3 / Gamma_T, from the continuous model.
 
     Window bookkeeping is exact: in-window energy + tail energy +
     pre-window energy = total notched energy, with the tail summed over
-    every later repetition window.
+    every later repetition window.  The un-notched e^-Gamma_T t enters
+    each field in closed form, so without notches eta_temporal is
+    1 - exp(-Gamma_T t_rep) to rounding.  Notches too wide for
+    :data:`quduct.notched.MAX_REPORT_NODES` quadrature nodes at a repetition
+    time up to 80 / Gamma_T are rejected.
     """
+    from . import notched  # compiled only where a filter is reported
+
+    if t_rep_s is None:
+        t_rep_s = PRESET_T_REP_MULTIPLE / spec.gamma_t
     check_t_rep(t_rep_s)
-    t = response.times_s
-    e = response.energy
-    dt = response.dt_s
-
-    total = float(e.sum())
-    if total <= 0.0:
+    lower, upper = notched.notch_edges(spec)
+    share = notched.notched_share(lower, upper)
+    eta_notch = 1.0 - share
+    if eta_notch <= 0.0:
         return FilterReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t_rep_s)
-    eta_notch = total  # un-notched total is 1 by normalisation
-    split = int(np.searchsorted(t, 0.0))  # times ascend: the negative ones lead
-    pre = float(e[:split].sum())
+    pre = notched.pre_window(lower, upper, share)
 
-    # positive-time cumulative energy, linearly interpolated inside the
-    # bin straddling a window edge so the split is stable in t_rep and
-    # under grid refinement
-    e_pos = e[split:]
-    cum = np.concatenate([[0.0], np.cumsum(e_pos)])
+    def split(tau):
+        """What the notches add to the energy in (0, tau] and after tau."""
+        if lower.size == 0:
+            return 0.0, 0.0
+        if tau <= notched.FAR_TAU:
+            inside = notched.near_window(lower, upper, tau)
+            return inside, -share - pre - inside
+        after = notched.far_tail(lower, upper, tau)
+        return -share - pre - after, after
 
-    def cum_at(x: float) -> float:
-        position = x / dt
-        if position >= e_pos.size:
-            return float(cum[-1])
-        j = int(position)
-        return float(cum[j] + (position - j) * e_pos[j])
-
-    positive_total = float(cum[-1])
-    in_window = cum_at(t_rep_s)
-    tail = positive_total - in_window
-    first = cum_at(2.0 * t_rep_s) - in_window
-    eta_temporal = in_window / total
+    x = spec.gamma_t * t_rep_s
+    tau = 0.5 * x
+    inside, after = split(tau)
+    inside_2, after_2 = split(2.0 * tau)
+    in_window = -math.expm1(-x) + inside
+    first = (inside_2 - inside) if tau <= notched.FAR_TAU else (after - after_2)
+    eta_temporal = in_window / eta_notch
     return FilterReport(
         eta_notch=eta_notch,
         eta_temporal=eta_temporal,
         eta_total=eta_notch * eta_temporal,
-        tail_noise_photons=tail,
-        tail_first_window_photons=first,
+        tail_noise_photons=math.exp(-x) + after,
+        tail_first_window_photons=math.exp(-x) * -math.expm1(-x) + first,
         pre_window_energy=pre,
         t_rep_s=t_rep_s,
     )
-
-
-def analyze_filter(
-    spec: FilterSpec,
-    t_rep_s: float | None = None,
-    span_hz: float | None = None,
-    n_points: int = 2**20,
-) -> FilterReport:
-    """:func:`filter_report` of the impulse response of ``spec``.
-
-    Default repetition time is 3 / Gamma_T.
-    """
-    if t_rep_s is None:
-        t_rep_s = PRESET_T_REP_MULTIPLE / spec.gamma_t
-    return filter_report(impulse_response(spec, span_hz=span_hz, n_points=n_points), t_rep_s)
 
 
 def scaled_preset_spec(width_scale: float) -> FilterSpec:
@@ -280,38 +292,22 @@ def scaled_preset_spec(width_scale: float) -> FilterSpec:
     return FilterSpec(linewidth_hz=PRESET_LINEWIDTH_HZ, notches=tuple(notches))
 
 
-def tuned_preset(span_hz: float | None = None, n_points: int = 2**20) -> FilterSpec:
+def tuned_preset() -> FilterSpec:
     """Auto-tune the preset notch widths so eta_notch is within
-    :data:`PRESET_TOLERANCE` of :data:`PRESET_ETA_NOTCH` for the analysis
-    span given by ``span_hz`` and ``n_points``.
+    :data:`PRESET_TOLERANCE` of :data:`PRESET_ETA_NOTCH`.
 
     Bisection on the single width-rescale scalar; eta_notch decreases
     monotonically as the notches widen, so the root is bracketed by
-    construction.  Each step takes eta_notch in closed form, as the share
-    of the one-pole Lorentzian |H|^2 = 1 / (1 + (2f/gamma)^2), truncated
-    to the span, that the notches leave::
-
-        1 - sum over notches (a, b) of [atan(2b/gamma) - atan(2a/gamma)]
-            / (2 atan(span/gamma))
-
-    with gamma the preset linewidth and (a, b) each notch's edges relative
-    to the center.  The FFT analysis sums the same share over grid bins.
-    Over spans of 50 to 2300 linewidths at 2**16 to 2**20 points, the closed
-    form was measured within 2.8e-7 of that grid sum (9.1e-9 at the default
-    grid), while every bisection step's decision lies at least 2.0e-5 from
-    the edge of the tolerance band, so both pick the same widths.  Every
-    candidate's notches are checked as in :func:`impulse_response`.
+    construction.  Each step takes eta_notch as :func:`analyze_filter`
+    reports it, the share of the Lorentzian power that the notches leave.
     """
-    span = _checked_span(PRESET_LINEWIDTH_HZ, span_hz, n_points)
-    half_linewidth = PRESET_LINEWIDTH_HZ / 2.0
+    from . import notched
+
     lo, hi = 0.05, 10.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         spec = scaled_preset_spec(mid)  # centred at 0
-        _notch_bins(spec, span, n_points)  # fails as impulse_response would
-        notched = sum(math.atan(b / half_linewidth) - math.atan(a / half_linewidth)
-                      for a, b in spec.notches)
-        eta_notch = 1.0 - notched / (2.0 * math.atan(span / PRESET_LINEWIDTH_HZ))
+        eta_notch = 1.0 - notched.notched_share(*notched.notch_edges(spec))
         if abs(eta_notch - PRESET_ETA_NOTCH) <= PRESET_TOLERANCE:
             return spec
         if eta_notch > PRESET_ETA_NOTCH:

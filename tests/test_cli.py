@@ -28,7 +28,7 @@ from quduct.core import (
     rate_to_hz,
     validate_device,
 )
-from quduct.filters import filter_report, impulse_response
+from quduct.filters import analyze_filter, impulse_response
 from quduct.registry import bundled_registry_path, contour_csv
 
 EXAMPLE_CFG = str(bundled_registry_path().parent / "example_device.cfg")
@@ -358,6 +358,24 @@ def test_unparsable_range_fails_naming_its_flag(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("contours", "--levels", "10", "--n", "-1"), "--n must be at least 2, got '-1'"),
+        (("contours", "--levels", "10", "--n", "1"), "--n must be at least 2, got '1'"),
+        (("sweep", "--config", EXAMPLE_CFG, "--direction", "up", "--range-hz", "10:100",
+          "--gamma-o-hz", "1000", "--n", "0"), "--n must be at least 1, got '0'"),
+        # the count fails before the config is read
+        (("sweep", "--config", "missing.cfg", "--direction", "up", "--range-hz", "10:100",
+          "--gamma-o-hz", "1000", "--n", "-3"), "--n must be at least 1, got '-3'"),
+    ],
+    ids=["contours-negative", "contours-one", "sweep-zero", "sweep-before-config"],
+)
+def test_a_bad_sample_count_fails_naming_n(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def _levels_argv(command, out_dir):
     """A ``contours`` or ``compare`` invocation, less its ``--levels``."""
     if command == "contours":
@@ -524,13 +542,53 @@ def test_filter_analysis_preset_needs_sixteen_points_per_notch(capsys):
     assert "fewer than 16 grid points" in err
 
 
-def test_filter_analysis_preset_tunes_on_the_given_span(capsys):
-    code, out, _ = run(capsys, "filter-analysis", "--preset", "paper", "--span-hz", "1.2e6")
+@pytest.mark.parametrize("grid", [("--span-hz", "1.2e6"), ("--n-points", "2097152")],
+                         ids=["span", "points"])
+def test_filter_analysis_trace_grid_leaves_the_report_alone(capsys, grid):
+    # the preset is tuned, and every filter reported, without a grid
+    code, out, _ = run(capsys, "filter-analysis", "--preset", "paper", *grid)
     assert code == 0
     values = dict(line.split("=") for line in out.splitlines() if "=" in line)
-    notches = "-9552.48046875:-8447.51953125;4171.279296875:5828.720703125"
+    notches = "-9560.25390625:-8439.74609375;4159.619140625:5840.380859375"
     assert values["notches"] == notches
     assert abs(float(values["eta_notch"]) - filters.PRESET_ETA_NOTCH) <= filters.PRESET_TOLERANCE
+    assert run(capsys, "filter-analysis", "--preset", "paper")[1] == out
+
+
+def test_filter_analysis_without_a_trace_runs_no_fft(capsys, monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran without --trace")
+
+    for name in ("fft", "ifft", "fftshift", "ifftshift"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    monkeypatch.setattr(filters, "impulse_response", no_fft)
+    code, out, err = run(capsys, "filter-analysis", "--preset", "paper")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3] == "eta_notch=0.9398682685755226"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--span-hz", "inf"), "span_hz must be finite, got inf"),
+        (("--span-hz", "1e5"), "span 1e+05 Hz is below 50.0 linewidths"),
+        (("--n-points", "100000"), "n_points must be a power of two >= 16384"),
+        (("--notch=-5e6:-4e6",), "notch (-5000000.0, -4000000.0) Hz lies outside the span"),
+        (("--notch", "100:150"), "notch (100.0, 150.0) Hz spans fewer than 16 grid points; "
+                                 "raise n_points or shrink the span"),
+        (("--span-hz", "2.17e12", "--n-points", "16384"),
+         "response has not decayed within the DFT window; increase span or n_points"),
+    ],
+    ids=["span-inf", "span-narrow", "points", "notch-outside", "notch-undersampled", "undecayed"],
+)
+@pytest.mark.parametrize("trace", [False, True], ids=["report", "trace"])
+def test_filter_analysis_checks_the_trace_grid_in_every_mode(tmp_path, capsys, argv, message,
+                                                              trace):
+    path = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "filter-analysis", "--linewidth-hz", "21700", *argv,
+                         *(("--trace", str(path)) if trace else ()))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -608,7 +666,7 @@ def test_filter_analysis_t_rep_mult(capsys, mult, argv):
     assert f"t_rep_s={t_rep!r}" in out.splitlines()
 
 
-def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch):
+def test_filter_analysis_trace_runs_one_response(tmp_path, capsys, monkeypatch):
     responses = []
 
     def counted(*args, **kwargs):
@@ -624,7 +682,7 @@ def test_filter_analysis_trace_reuses_the_response(tmp_path, capsys, monkeypatch
     assert code == 0
     assert len(responses) == 1
     (response,) = responses
-    report = filter_report(response, 3.0 / (2 * np.pi * 21700))
+    report = analyze_filter(filters.FilterSpec(linewidth_hz=21700.0, notches=((4e3, 6e3),)))
     assert f"eta_total={report.eta_total!r}" in out.splitlines()
     with open(trace, newline="") as fh:
         assert fh.read() == _csv_text(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from quduct import optimize
 from quduct.capacity import ChannelSpec
 from quduct.config import load_config
+from quduct.filters import FilterSpec, analyze_filter
 from quduct.core import (
     TWO_PI,
     OperatingPoint,
@@ -115,3 +116,51 @@ def test_sweep_throughput_is_the_per_point_product_at_any_rate(spec):
         op = OperatingPoint(gamma_e, gamma_o, spec.duty)
         expected = apparent_efficiency(CFG.device, op) * bandwidth_hz(CFG.device, op) * op.duty
         assert theta.hex() == expected.hex(), (gamma_e, gamma_o)
+
+
+# x = Gamma_T t_rep, log-uniform over the whole accepted domain
+REPETITION_MULTIPLES = st.floats(-6.0, 308.0).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=200)
+@given(linewidth=st.floats(1.0, 1e9), x=REPETITION_MULTIPLES)
+def test_unnotched_filter_report_is_the_exponential(linewidth, x):
+    spec = FilterSpec(linewidth_hz=linewidth)
+    t_rep = x / spec.gamma_t
+    x = spec.gamma_t * t_rep  # as the report sees it
+    report = analyze_filter(spec, t_rep)
+    assert report.eta_notch == 1.0
+    assert report.eta_temporal == pytest.approx(-math.expm1(-x), rel=4e-16, abs=0.0)
+    assert report.tail_noise_photons == pytest.approx(math.exp(-x), rel=4e-16, abs=0.0)
+    assert report.tail_first_window_photons == pytest.approx(
+        math.exp(-x) * -math.expm1(-x), rel=4e-16, abs=0.0)
+    assert report.pre_window_energy == 0.0
+
+
+@st.composite
+def _notched_filters(draw):
+    """A filter with one to three notches within 20 linewidths of its center,
+    each 1e-3 to 1 linewidth wide, log-uniform."""
+    linewidth = draw(st.floats(1e2, 1e7))
+    center = draw(st.floats(-1e7, 1e7))
+    notches = []
+    for _ in range(draw(st.integers(1, 3))):
+        middle = draw(st.floats(-20.0, 20.0)) * linewidth
+        half = 0.5 * 10.0 ** draw(st.floats(-3.0, 0.0)) * linewidth
+        notches.append((center + middle - half, center + middle + half))
+    return FilterSpec(linewidth_hz=linewidth, center_hz=center, notches=notches)
+
+
+@settings(max_examples=200)
+@given(spec=_notched_filters(), x=REPETITION_MULTIPLES, ratio=st.floats(1.0, 1e3))
+def test_notched_filter_report_stays_in_its_bounds(spec, x, ratio):
+    reports = [analyze_filter(spec, x / spec.gamma_t), analyze_filter(spec, ratio * x / spec.gamma_t)]
+    for report in reports:
+        for field in ("eta_total", "tail_noise_photons", "tail_first_window_photons",
+                      "pre_window_energy"):
+            assert 0.0 <= getattr(report, field) <= report.eta_notch, field
+        assert 0.0 <= report.eta_temporal <= 1.0
+        closure = report.eta_total + report.tail_noise_photons + report.pre_window_energy
+        assert closure == pytest.approx(report.eta_notch, rel=0.0, abs=4e-16)
+    # within the report's quadrature error
+    assert reports[1].eta_temporal >= reports[0].eta_temporal - 1e-14
