@@ -305,16 +305,15 @@ def _cmd_filter_analysis(args):
     grid = dict(span_hz=args.span_hz, n_points=args.n_points)
     if args.preset == "paper":
         spec = filters.tuned_preset()
-        filters.check_trace_grid(spec, **grid)  # a preset's grid fails before its t_rep
     else:
         if args.linewidth_hz is None:
             raise ValueError("give --linewidth-hz or --preset paper")
         spec = filters.FilterSpec(linewidth_hz=args.linewidth_hz, center_hz=args.center_hz,
                                   notches=args.notch)
-    t_rep = args.t_rep_mult / spec.gamma_t if args.t_rep_s is None else args.t_rep_s
-    filters.check_t_rep(t_rep)
     # --span-hz and --n-points shape only the trace, but are checked in every mode
     filters.check_trace_grid(spec, **grid)
+    t_rep = args.t_rep_mult / spec.gamma_t if args.t_rep_s is None else args.t_rep_s
+    filters.check_t_rep(t_rep)
     report = filters.analyze_filter(spec, t_rep)
     summary = (report.eta_notch, report.eta_temporal, report.eta_total,
                report.tail_noise_photons, report.t_rep_s)

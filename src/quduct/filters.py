@@ -11,7 +11,9 @@ of the notched filter directly readable as an efficiency.
 :func:`analyze_filter` reports from this continuous model, which
 :mod:`quduct.notched` evaluates: sums of arctangents for the spectral
 transmission and the pre-window energy, the un-notched e^-Gamma_T t in
-closed form, and quadrature over the notches for the rest.
+closed form, and for the notches' part of the window energies a
+quadrature in time of the response, whose band integrals are complex
+exponential integrals at the notch edges.
 
 Brick-wall notches make the response non-causal; energy appearing at
 negative times is reported separately as pre-window energy rather than
@@ -229,7 +231,6 @@ def check_t_rep(t_rep_s: float) -> None:
         raise ValueError(f"repetition time t_rep_s must be positive and finite, got {t_rep_s}")
 
 
-
 def analyze_filter(spec: FilterSpec, t_rep_s: float | None = None) -> FilterReport:
     """Spectral, temporal, and leakage figures of ``spec`` at ``t_rep_s``,
     by default 3 / Gamma_T, from the continuous model.
@@ -238,9 +239,8 @@ def analyze_filter(spec: FilterSpec, t_rep_s: float | None = None) -> FilterRepo
     pre-window energy = total notched energy, with the tail summed over
     every later repetition window.  The un-notched e^-Gamma_T t enters
     each field in closed form, so without notches eta_temporal is
-    1 - exp(-Gamma_T t_rep) to rounding.  Notches too wide for
-    :data:`quduct.notched.MAX_REPORT_NODES` quadrature nodes at a repetition
-    time up to 80 / Gamma_T are rejected.
+    1 - exp(-Gamma_T t_rep) to rounding; :func:`quduct.notched.window_parts`
+    adds what the notches change.
     """
     from . import notched  # compiled only where a filter is reported
 
@@ -252,32 +252,16 @@ def analyze_filter(spec: FilterSpec, t_rep_s: float | None = None) -> FilterRepo
     eta_notch = 1.0 - share
     if eta_notch <= 0.0:
         return FilterReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t_rep_s)
-    pre = notched.pre_window(lower, upper, share)
-
-    def split(tau):
-        """What the notches add to the energy in (0, tau] and after tau."""
-        if lower.size == 0:
-            return 0.0, 0.0
-        if tau <= notched.FAR_TAU:
-            inside = notched.near_window(lower, upper, tau)
-            return inside, -share - pre - inside
-        after = notched.far_tail(lower, upper, tau)
-        return -share - pre - after, after
-
     x = spec.gamma_t * t_rep_s
-    tau = 0.5 * x
-    inside, after = split(tau)
-    inside_2, after_2 = split(2.0 * tau)
-    in_window = -math.expm1(-x) + inside
-    first = (inside_2 - inside) if tau <= notched.FAR_TAU else (after - after_2)
-    eta_temporal = in_window / eta_notch
+    inside, after, first = notched.window_parts(lower, upper, share, x)
+    eta_temporal = (-math.expm1(-x) + inside) / eta_notch
     return FilterReport(
         eta_notch=eta_notch,
         eta_temporal=eta_temporal,
         eta_total=eta_notch * eta_temporal,
         tail_noise_photons=math.exp(-x) + after,
         tail_first_window_photons=math.exp(-x) * -math.expm1(-x) + first,
-        pre_window_energy=pre,
+        pre_window_energy=notched.pre_window(share),
         t_rep_s=t_rep_s,
     )
 

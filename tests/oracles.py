@@ -17,6 +17,24 @@ def _filter_bands(spec):
             for lo, hi in spec.notches]
 
 
+def e1(z):
+    """E1(z) off the negative real axis, an mpc."""
+    with mp.workdps(DIGITS):
+        return mp.e1(mp.mpc(z.real, z.imag))
+
+
+def edge_integral(x, tau):
+    """i e^-tau E1(-tau (1 + ix)) at float ``x`` and ``tau > 0``.
+
+    E1 takes its principal branch, and at x = 0, on its cut, the limit
+    from x < 0.  Returns an mpc.
+    """
+    with mp.workdps(DIGITS):
+        x, tau = mp.mpf(x), mp.mpf(tau)
+        z = -tau * (1 + 1j * x) if x else mp.mpc(-tau, mp.mpf(10) ** (-3 * DIGITS))
+        return 1j * mp.exp(-tau) * mp.e1(z)
+
+
 def filter_eta_notch(spec):
     """1 - sum (atan b - atan a) / pi over the notches (a, b) of ``spec``."""
     with mp.workdps(DIGITS):
@@ -34,7 +52,10 @@ def filter_report(spec, t_rep_s):
 
     - eta_notch is :func:`filter_eta_notch`;
     - the window energies integrate that density over (0, T] and (T, 2T],
-      T = Gamma_T t_rep / 2, by Gauss-Legendre in steps of 5 in tau;
+      T = Gamma_T t_rep / 2, by Gauss-Legendre on panels at most 20 long
+      in tau, in which no edge and no difference of two edges turns
+      e^(i x tau) through more than 8 pi, and fail unless mpmath's error
+      estimate is below 1e-25;
     - the pre-window energy is (1/pi) int |G(x)|^2 dx over the real line,
       broken at every notch edge, with G the Fourier transform of the
       anti-causal part, (1 + ix) G = chi / 2 + sum [ln |b - x| - ln |a - x|
@@ -60,11 +81,15 @@ def filter_report(spec, t_rep_s):
                           for a, b in bands)
             return abs(2 * mp.pi * mp.exp(-tau) - notched) ** 2 / (2 * mp.pi**2)
 
+        spread = max([0, *edges]) - min([0, *edges])
+        step = min(20, 8 * mp.pi / max(spread, 1))
+
         def energy(start, stop):
-            # the density turns at most a few radians per unit of tau for the
-            # notches tested, so panels of 5 hold under 20 radians each
-            steps = [start + 5 * k for k in range(int((stop - start) / 5) + 1)] + [stop]
-            return mp.quad(density, sorted(set(steps)), method="gauss-legendre")
+            count = int(mp.ceil((stop - start) / step))
+            panels = [start + (stop - start) * k / count for k in range(count + 1)]
+            value, error = mp.quad(density, panels, method="gauss-legendre", error=True)
+            assert error < mp.mpf(10) ** (5 - DIGITS), error
+            return value
 
         window = mp.mpf(spec.gamma_t) * mp.mpf(t_rep_s) / 2
         in_window = energy(mp.mpf(0), window)

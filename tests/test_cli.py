@@ -691,6 +691,21 @@ def test_filter_analysis_trace_runs_one_response(tmp_path, capsys, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (("--linewidth-hz", "1000", "--notch=-1e5:1e5"),
+     filters.FilterSpec(linewidth_hz=1e3, notches=((-1e5, 1e5),))),
+    (("--linewidth-hz", "21700", "--notch", "0:420000", "--t-rep-mult", "80"),
+     filters.FilterSpec(linewidth_hz=21.7e3, notches=((0.0, 4.2e5),))),
+], ids=["200-linewidths", "19-linewidths-at-80"])
+def test_filter_analysis_reports_wide_notches_the_span_holds(capsys, argv, spec):
+    code, out, err = run(capsys, "filter-analysis", *argv)
+    assert (code, err) == (0, "")
+    values = dict(line.split("=") for line in out.splitlines() if "=" in line)
+    report = analyze_filter(spec, float(values["t_rep_s"]))
+    assert values["eta_notch"] == repr(report.eta_notch)
+    assert values["eta_total"] == repr(report.eta_total)
+
+
 def test_filter_analysis_with_an_unwritable_trace_prints_nothing(tmp_path, capsys):
     trace = tmp_path / "missing" / "trace.csv"
     code, out, err = run(

@@ -139,15 +139,17 @@ def test_unnotched_filter_report_is_the_exponential(linewidth, x):
 
 @st.composite
 def _notched_filters(draw):
-    """A filter with one to three notches within 20 linewidths of its center,
-    each 1e-3 to 1 linewidth wide, log-uniform."""
+    """A filter with one to three notches, each 5e-3 to 300 linewidths wide,
+    log-uniform, inside the 300 linewidths around its center that
+    filter-analysis checks them against by default (at 2**20 points a notch
+    needs 4.6e-3 linewidths for its 16 samples)."""
     linewidth = draw(st.floats(1e2, 1e7))
     center = draw(st.floats(-1e7, 1e7))
     notches = []
     for _ in range(draw(st.integers(1, 3))):
-        middle = draw(st.floats(-20.0, 20.0)) * linewidth
-        half = 0.5 * 10.0 ** draw(st.floats(-3.0, 0.0)) * linewidth
-        notches.append((center + middle - half, center + middle + half))
+        width = 10.0 ** draw(st.floats(math.log10(5e-3), math.log10(300.0)))
+        low = draw(st.floats(-150.0, 150.0 - width))
+        notches.append((center + low * linewidth, center + (low + width) * linewidth))
     return FilterSpec(linewidth_hz=linewidth, center_hz=center, notches=notches)
 
 
