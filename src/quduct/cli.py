@@ -28,7 +28,8 @@ line on stderr, and a warning one ``warning: <message>`` line.
 Exit status: 0 on success; 2 only on a malformed argv (an unknown
 subcommand or flag, a missing value or required flag, a value outside a
 flag's choices); 1 when a value fails its flag's type, with one
-``error: FLAG ...`` line, or when validation or evaluation fails.
+``error: FLAG ...`` line, or when validation, evaluation or an allocation
+fails.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from . import calibration, filters, noise, optimize, registry
+from . import calibration, noise, optimize, registry
 from .capacity import (
     ChannelSpec,
     cap_integrated_closed,
@@ -302,6 +303,8 @@ def _cmd_contours(args):
 
 
 def _cmd_filter_analysis(args):
+    from . import filters
+
     grid = dict(span_hz=args.span_hz, n_points=args.n_points)
     if args.preset == "paper":
         spec = filters.tuned_preset()
@@ -312,8 +315,8 @@ def _cmd_filter_analysis(args):
                                   notches=args.notch)
     # --span-hz and --n-points shape only the trace, but are checked in every mode
     filters.check_trace_grid(spec, **grid)
-    t_rep = args.t_rep_mult / spec.gamma_t if args.t_rep_s is None else args.t_rep_s
-    filters.check_t_rep(t_rep)
+    # without either flag the report's own default, 3 / Gamma_T, applies
+    t_rep = args.t_rep_s if args.t_rep_mult is None else args.t_rep_mult / spec.gamma_t
     report = filters.analyze_filter(spec, t_rep)
     summary = (report.eta_notch, report.eta_temporal, report.eta_total,
                report.tail_noise_photons, report.t_rep_s)
@@ -502,8 +505,7 @@ COMMANDS = {
         "--center-hz": dict(type=float, default=0.0),
         "--notch": dict(action="append", type=_parse_pair, default=(),
                         help="LOW:HIGH in Hz, repeatable"),
-        "--t-rep-mult": dict(type=float, default=filters.PRESET_T_REP_MULTIPLE,
-                             help="repetition time in units of 1/Gamma_T"),
+        "--t-rep-mult": dict(type=float, help="repetition time in units of 1/Gamma_T"),
         "--t-rep-s": dict(type=float),
         "--span-hz": dict(type=float),
         "--n-points": dict(type=int, default=2**20),
@@ -603,7 +605,7 @@ def cli_dispatch(argv) -> int:
             _read_flags(args, flags, modes)
             _write(run(args), getattr(args, "out", None))
             return 0
-        except (ValueError, RuntimeError, OSError) as exc:
+        except (ValueError, RuntimeError, OSError, MemoryError) as exc:
             # ConfigError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1

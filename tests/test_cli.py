@@ -498,6 +498,20 @@ def test_capacity_grid_axis_fails_naming_its_flag(tmp_path, capsys, argv, messag
     assert not out_path.exists()
 
 
+def test_an_allocation_failure_is_one_error_line(capsys, monkeypatch):
+    # the grid that would fail is never allocated: the kernel raises in its place
+    message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+               "and data type float64")
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cap_ub_grid", out_of_memory)
+    code, out, err = run(capsys, "capacity", "--grid-eta", "0:0.9:100000",
+                         "--grid-n-add", "0:0.9:100000")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_capacity_point_without_bandwidth(capsys):
     code, out, _ = run(capsys, "capacity", "--eta", "0.4", "--n-add", "0.5")
     assert code == 0
@@ -664,6 +678,16 @@ def test_filter_analysis_t_rep_mult(capsys, mult, argv):
     assert code == 0
     t_rep = mult / filters.FilterSpec(linewidth_hz=21700.0).gamma_t
     assert f"t_rep_s={t_rep!r}" in out.splitlines()
+
+
+def test_filter_analysis_repetition_time_has_one_default(capsys):
+    # without --t-rep-s or --t-rep-mult the report's own 3 / Gamma_T applies
+    default = run(capsys, "filter-analysis", "--preset", "paper")
+    assert default[0] == 0
+    assert run(capsys, "filter-analysis", "--preset", "paper", "--t-rep-mult", "3") == default
+    for flag in ("--t-rep-mult", "--t-rep-s"):
+        assert run(capsys, "filter-analysis", "--preset", "paper", flag, "nan") == (
+            1, "", "error: repetition time t_rep_s must be positive and finite, got nan\n")
 
 
 def test_filter_analysis_trace_runs_one_response(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from quduct import filters, notched
+from quduct import filters
 from quduct.filters import (
     FilterSpec,
     PRESET_LINEWIDTH_HZ,
@@ -136,9 +136,9 @@ def test_grid_refinement_stability(monkeypatch, mult):
     spec = scaled_preset_spec(1.0)
     t_rep = mult / spec.gamma_t
     a = analyze_filter(spec, t_rep)
-    monkeypatch.setattr(notched, "PANEL_PHASE", notched.PANEL_PHASE / 2)
-    monkeypatch.setattr(notched, "FAR_TAU", 50.0)
-    monkeypatch.setattr(notched, "BY_PARTS", 2 * notched.BY_PARTS)
+    monkeypatch.setattr(filters, "PANEL_PHASE", filters.PANEL_PHASE / 2)
+    monkeypatch.setattr(filters, "FAR_TAU", 50.0)
+    monkeypatch.setattr(filters, "BY_PARTS", 2 * filters.BY_PARTS)
     b = analyze_filter(spec, t_rep)
     for name in ("eta_notch", "eta_temporal", "eta_total", "tail_noise_photons",
                  "tail_first_window_photons", "pre_window_energy"):
@@ -522,13 +522,13 @@ def test_edge_integrals_match_the_oracle():
     # (near the origin and the cut), the continued fraction and the
     # asymptotic series, up to tau = 2 FAR_TAU and 1e4 half linewidths out
     rng = np.random.default_rng(7)
-    r = 10.0 ** rng.uniform(-7, math.log10(4 * notched.FAR_TAU), 600)  # |z|
+    r = 10.0 ** rng.uniform(-7, math.log10(4 * filters.FAR_TAU), 600)  # |z|
     theta = rng.uniform(-1.5707, 1.5707, 600)  # the angle of 1 + ix
     theta[::30] = 0.0
     x, tau = np.tan(theta), r * np.cos(theta)
-    keep = tau <= 2 * notched.FAR_TAU
-    x, tau = np.append(x[keep], 0.0), np.append(tau[keep], notched.FAR_TAU)
-    got = [complex(notched._edge_integrals(np.array([b]), np.array([t]))[0, 0])
+    keep = tau <= 2 * filters.FAR_TAU
+    x, tau = np.append(x[keep], 0.0), np.append(tau[keep], filters.FAR_TAU)
+    got = [complex(filters._edge_integrals(np.array([b]), np.array([t]))[0, 0])
            for b, t in zip(x, tau)]
     for b, t, value in zip(x, tau, got):
         exact = complex(oracles.edge_integral(b, t))
@@ -539,10 +539,10 @@ def test_edge_integrals_match_the_oracle():
 def test_e1_in_the_right_half_plane_matches_the_oracle():
     # the arguments tau (1 - ix) of the closed-form e^-tau cross term
     rng = np.random.default_rng(8)
-    z = 10.0 ** rng.uniform(-7, math.log10(4 * notched.FAR_TAU), 600) * np.exp(
+    z = 10.0 ** rng.uniform(-7, math.log10(4 * filters.FAR_TAU), 600) * np.exp(
         1j * rng.uniform(-1.5707, 1.5707, 600))
-    z = z[np.abs(z) < 2 * notched.FAR_TAU]
-    series, value = notched._e1(z, np.angle(z))
+    z = z[np.abs(z) < 2 * filters.FAR_TAU]
+    series, value = filters._e1(z, np.angle(z))
     got = np.where(series, value, np.exp(-z) * value)
     for point, value in zip(z, got):
         exact = complex(oracles.e1(point))
@@ -550,14 +550,14 @@ def test_e1_in_the_right_half_plane_matches_the_oracle():
 
 
 def test_the_report_loads_no_fft_module(child_env):
-    # the CLI loads the model only when it reports a filter, and the report
-    # loads no more of numpy than the subcommands that never run a filter
+    # the CLI loads the filter module only when it reports a filter, and the
+    # report loads no more of numpy than the subcommands that never run a filter
     code = ("import sys, quduct.cli\n"
-            "watched = ('quduct.notched', 'numpy.fft', 'numpy.polynomial')\n"
+            "watched = ('quduct.filters', 'numpy.fft', 'numpy.polynomial')\n"
             "print(sorted(m for m in watched if m in sys.modules))\n"
             "from quduct import filters\n"
             "filters.analyze_filter(filters.tuned_preset())\n"
             "print(sorted(m for m in watched if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "[]\n['quduct.notched']\n"
+    assert done.stdout == "[]\n['quduct.filters']\n"
